@@ -11,11 +11,12 @@ import (
 	"cuisines/internal/core"
 	"cuisines/internal/encode"
 	"cuisines/internal/kmeans"
-	"cuisines/internal/recipedb"
 )
 
-// Stage artifacts are serialized with gob. Every type that hides state
-// behind unexported fields (recipedb.DB, itemset.Set, matrix.Dense,
+// Stage artifacts are serialized either with the flat codecs of flat.go
+// (corpus, mine, matrices, pdist, geodist) or with gob (auth, tree,
+// elbow, validate). Every type a gob artifact reaches that hides state
+// behind unexported fields (itemset.Set, matrix.Dense,
 // distance.Condensed, hac.Tree) implements GobEncoder/GobDecoder, so
 // the artifacts below round-trip faithfully — float64 values bit-exact,
 // slices in order — which is what keeps warm-disk replays byte-identical
@@ -66,9 +67,13 @@ type PatternFeatures struct {
 // version 3, pdist to 3, geodist to 2): a new encoded shape, so the
 // bump orphans old gob files and a warm-disk restart recomputes them
 // once instead of misreading them. Keys are unchanged — the flat
-// encoding is a representation change, not a semantic one.
+// encoding is a representation change, not a semantic one. The corpus
+// followed to flat at version 2 (interned names, one string arena per
+// decode), and validate went to version 3 when treecmp.Report's B_k
+// values became a slice sorted by k: gob writes map entries in random
+// order, so the map had given one Validation many encodings.
 var (
-	corpusCodec   = gobCodec[*recipedb.DB]{kind: "corpus", version: 1}
+	corpusCodec   = flatCodec{kind: "corpus", version: 2, appendFn: appendCorpus, decodeFn: decodeCorpus}
 	mineCodec     = flatCodec{kind: "mine", version: 3, appendFn: appendMine, decodeFn: decodeMine}
 	matricesCodec = flatCodec{kind: "matrices", version: 3, appendFn: appendMatrices, decodeFn: decodeMatrices}
 	authCodec     = gobCodec[*authenticity.Matrix]{kind: "auth", version: 1}
@@ -76,7 +81,7 @@ var (
 	geodistCodec  = flatCodec{kind: "geodist", version: 2, appendFn: appendCondensed, decodeFn: decodeCondensed}
 	treeCodec     = gobCodec[*core.CuisineTree]{kind: "tree", version: 2}
 	elbowCodec    = gobCodec[*kmeans.ElbowCurve]{kind: "elbow", version: 2}
-	validateCodec = gobCodec[*core.Validation]{kind: "validate", version: 2}
+	validateCodec = gobCodec[*core.Validation]{kind: "validate", version: 3}
 )
 
 // stage resolves one typed stage through the store: memory tier, disk

@@ -2,23 +2,26 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/gob"
 	"sync"
 	"testing"
 
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
+	"cuisines/internal/recipedb"
 )
 
 // P7 (DESIGN.md §10): the artifact codec benchmark. For each large
-// numeric artifact it measures the retired gob path against the flat
-// codec, encode and decode separately, with -benchmem — the gob
-// sub-benchmarks are the committed "before" evidence in BENCH_6.json,
-// and the decode allocs/op columns are the headline: flat decodes in
-// O(1) large allocations where gob allocates per element.
+// artifact it measures the retired gob path against the flat codec,
+// encode and decode separately, with -benchmem — the gob sub-benchmarks
+// for mine, matrices and pdist are the committed "before" evidence in
+// BENCH_6.json, and the decode allocs/op columns are the headline: flat
+// decodes in O(1) large allocations where gob allocates per element.
 
 var codecFixOnce sync.Once
 var codecFix struct {
+	db    *recipedb.DB
 	mined []core.RegionPatterns
 	feats *PatternFeatures
 	pdist *distance.Condensed
@@ -42,6 +45,7 @@ func codecFixtures(tb testing.TB) ([]core.RegionPatterns, *PatternFeatures, *dis
 			codecFix.err = err
 			return
 		}
+		codecFix.db = db
 		codecFix.mined = mined
 		codecFix.feats = &PatternFeatures{Table1: t1, Matrix: pm}
 		codecFix.pdist = distance.PdistWorkers(pm.X, distance.Euclidean, 0)
@@ -52,19 +56,24 @@ func codecFixtures(tb testing.TB) ([]core.RegionPatterns, *PatternFeatures, *dis
 	return codecFix.mined, codecFix.feats, codecFix.pdist
 }
 
+// codecCorpus returns the corpus the codec fixtures were mined from.
+func codecCorpus(tb testing.TB) *recipedb.DB {
+	codecFixtures(tb)
+	return codecFix.db
+}
+
 func BenchmarkArtifactCodecs(b *testing.B) {
 	mined, feats, pd := codecFixtures(b)
 	cases := []struct {
 		name string
 		gob  interface {
-			Kind() string
-			Version() int
 			encodeTo(*bytes.Buffer, any) error
 			decodeFrom([]byte) (any, error)
 		}
 		flat flatCodec
 		v    any
 	}{
+		{"corpus", gobCorpusBench{}, corpusCodec, codecCorpus(b)},
 		{"mine", gobBench[[]core.RegionPatterns]{}, mineCodec, mined},
 		{"matrices", gobBench[*PatternFeatures]{}, matricesCodec, feats},
 		{"pdist", gobBench[*distance.Condensed]{}, pdistCodec, pd},
@@ -127,13 +136,28 @@ func BenchmarkArtifactCodecs(b *testing.B) {
 // before the flat codecs) for benchmarking against them.
 type gobBench[T any] struct{}
 
-func (gobBench[T]) Kind() string { return "bench" }
-func (gobBench[T]) Version() int { return 0 }
-
 func (gobBench[T]) encodeTo(buf *bytes.Buffer, v any) error {
 	return gobCodec[T]{kind: "bench", version: 0}.Encode(buf, v)
 }
 
 func (gobBench[T]) decodeFrom(data []byte) (any, error) {
 	return gobCodec[T]{kind: "bench", version: 0}.Decode(bytes.NewReader(data))
+}
+
+// gobCorpusBench is the retired corpus path: recipedb.DB's GobEncode
+// wrote the recipe slice with gob, and GobDecode rebuilt the DB through
+// recipedb.New. DB no longer implements the pair, so the adapter does
+// the same work on the slice.
+type gobCorpusBench struct{}
+
+func (gobCorpusBench) encodeTo(buf *bytes.Buffer, v any) error {
+	return gob.NewEncoder(buf).Encode(v.(*recipedb.DB).Recipes())
+}
+
+func (gobCorpusBench) decodeFrom(data []byte) (any, error) {
+	var recipes []recipedb.Recipe
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recipes); err != nil {
+		return nil, err
+	}
+	return recipedb.New(recipes)
 }

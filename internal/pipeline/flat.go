@@ -12,6 +12,7 @@ import (
 	"cuisines/internal/encode"
 	"cuisines/internal/itemset"
 	"cuisines/internal/matrix"
+	"cuisines/internal/recipedb"
 )
 
 // Flat artifact codecs (DESIGN.md §10). The large numeric artifacts —
@@ -142,6 +143,25 @@ func (r *flatReader) f64(what string) float64 {
 	return math.Float64frombits(r.u64(what))
 }
 
+// remaining reports how many body bytes are still unread.
+func (r *flatReader) remaining() int { return len(r.data) - r.off }
+
+// count bounds a decoded element count by the bytes left before the
+// caller allocates for it: every element occupies at least minBytes of
+// the body, so a count the rest of the body cannot hold is corrupt.
+// Without the bound, one mutated count field drives a multi-gigabyte
+// make before any read notices that the body ran out.
+func (r *flatReader) count(n uint64, minBytes int, what string) int {
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(r.remaining()/minBytes) {
+		r.err = fmt.Errorf("pipeline: flat artifact %s %d exceeds the %d bytes left at %d", what, n, r.remaining(), r.off)
+		return 0
+	}
+	return int(n)
+}
+
 func (r *flatReader) rest() []byte {
 	b := r.data[r.off:]
 	r.off = len(r.data)
@@ -201,10 +221,11 @@ func appendInterned(dst []byte, names []string) []byte {
 // conversion of the whole blob and one []string of substrings sharing
 // its backing.
 func (r *flatReader) readInterned(what string) []string {
-	count := int(r.u32(what))
+	rawCount := r.u32(what)
 	blobLen := int(r.u32(what))
 	blob := string(r.bytes(blobLen, what))
-	if r.err != nil || count < 0 {
+	count := r.count(uint64(rawCount), 4, what) // one u32 length each
+	if r.err != nil {
 		return nil
 	}
 	names := make([]string, count)
@@ -273,6 +294,139 @@ func (r *flatReader) readPatternTail(names []string, itemArena []itemset.Item, i
 	return itemset.Pattern{Items: set, Support: sup, Count: cnt}, nil
 }
 
+// --- corpus: *recipedb.DB ---------------------------------------------
+//
+// Body layout:
+//
+//	u32 numRecipes
+//	intern table of region and item names (first-seen order)
+//	string table of recipe IDs and names: intern-table format without
+//	  dedupe, ID then name for each recipe in stored order
+//	u64 totalListEntries
+//	per recipe: u32 regionID | u32 nIng | u32 nProc | u32 nUt |
+//	  (nIng+nProc+nUt) × u32 nameID
+//
+// The corpus is the largest artifact by far (≈118k recipes at paper
+// scale). Under gob every recipe list and every name string was its own
+// allocation; here a decode makes a handful: one string per table, one
+// []string arena that every recipe's Ingredients, Processes and
+// Utensils subslice, and the []Recipe. The DB is rebuilt through
+// recipedb.New, so per-recipe validation, the duplicate-ID check and
+// the region index run exactly as for any other constructed DB.
+
+// corpusRecipeHeader is the fixed per-recipe size: region id and the
+// three list lengths.
+const corpusRecipeHeader = 16
+
+func appendCorpus(dst []byte, v any) ([]byte, error) {
+	db, ok := v.(*recipedb.DB)
+	if !ok {
+		return nil, fmt.Errorf("pipeline: corpus artifact is %T, want *recipedb.DB", v)
+	}
+	return appendRecipes(dst, db.Recipes()), nil
+}
+
+// appendRecipes writes the corpus body for recipes in stored order.
+func appendRecipes(dst []byte, recipes []recipedb.Recipe) []byte {
+	names := newInternTable()
+	strs := make([]string, 0, 2*len(recipes))
+	var total uint64
+	for i := range recipes {
+		r := &recipes[i]
+		total += uint64(len(r.Ingredients) + len(r.Processes) + len(r.Utensils))
+	}
+	// One pass interns every name and lays out the per-recipe section,
+	// which must follow the tables it indexes into.
+	section := make([]byte, 0, corpusRecipeHeader*uint64(len(recipes))+4*total)
+	for i := range recipes {
+		r := &recipes[i]
+		strs = append(strs, r.ID, r.Name)
+		section = binary.LittleEndian.AppendUint32(section, names.id(r.Region))
+		lists := [3][]string{r.Ingredients, r.Processes, r.Utensils}
+		for _, list := range lists {
+			section = binary.LittleEndian.AppendUint32(section, uint32(len(list)))
+		}
+		for _, list := range lists {
+			for _, s := range list {
+				section = binary.LittleEndian.AppendUint32(section, names.id(s))
+			}
+		}
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(recipes)))
+	dst = appendInterned(dst, names.list)
+	dst = appendInterned(dst, strs)
+	dst = binary.LittleEndian.AppendUint64(dst, total)
+	return append(dst, section...)
+}
+
+func decodeCorpus(body []byte) (any, error) {
+	r := &flatReader{data: body}
+	n := r.count(uint64(r.u32("recipe count")), corpusRecipeHeader, "recipe count")
+	names := r.readInterned("names")
+	strs := r.readInterned("recipe ids and names")
+	total := r.count(r.u64("list total"), 4, "list total")
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(strs) != 2*n {
+		return nil, fmt.Errorf("pipeline: corpus artifact has %d id/name strings for %d recipes", len(strs), n)
+	}
+	// The section must hold exactly n headers and total ids, so the walk
+	// below needs no per-read check beyond the arena bound.
+	section := r.rest()
+	if len(section) != corpusRecipeHeader*n+4*total {
+		return nil, fmt.Errorf("pipeline: corpus artifact recipe section is %d bytes, want %d", len(section), corpusRecipeHeader*n+4*total)
+	}
+	arena := make([]string, total)
+	recipes := make([]recipedb.Recipe, n)
+	used, off := 0, 0
+	next := func() int {
+		v := binary.LittleEndian.Uint32(section[off:])
+		off += 4
+		return int(v)
+	}
+	for i := range recipes {
+		rec := &recipes[i]
+		rec.ID, rec.Name = strs[2*i], strs[2*i+1]
+		region := next()
+		if region >= len(names) {
+			return nil, fmt.Errorf("pipeline: corpus artifact region id %d out of range %d", region, len(names))
+		}
+		rec.Region = names[region]
+		var lens [3]int
+		for k := range lens {
+			lens[k] = next()
+		}
+		if lens[0]+lens[1]+lens[2] > total-used {
+			return nil, fmt.Errorf("pipeline: corpus artifact list total %d exceeded", total)
+		}
+		lists := [3]*[]string{&rec.Ingredients, &rec.Processes, &rec.Utensils}
+		for k, list := range lists {
+			if lens[k] == 0 {
+				continue // an empty list stays nil
+			}
+			items := arena[used : used+lens[k] : used+lens[k]]
+			used += lens[k]
+			for j := range items {
+				id := next()
+				if id >= len(names) {
+					return nil, fmt.Errorf("pipeline: corpus artifact name id %d out of range %d", id, len(names))
+				}
+				items[j] = names[id]
+			}
+			*list = items
+		}
+	}
+	if used != total {
+		return nil, fmt.Errorf("pipeline: corpus artifact lists hold %d entries, header says %d", used, total)
+	}
+	db, err := recipedb.New(recipes)
+	if err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
 // --- mine: []core.RegionPatterns ---------------------------------------
 //
 // Body layout:
@@ -318,12 +472,12 @@ func appendMine(dst []byte, v any) ([]byte, error) {
 
 func decodeMine(body []byte) (any, error) {
 	r := &flatReader{data: body}
-	numRegions := int(r.u32("region count"))
-	totalPatterns := r.u64("pattern total")
-	totalItems := r.u64("item total")
-	if totalPatterns > math.MaxInt32 || totalItems > math.MaxInt32 {
-		return nil, fmt.Errorf("pipeline: mine artifact totals out of range")
-	}
+	// Minimum encoded sizes: a region is name length, recipes and
+	// pattern count (16 bytes); a pattern tail is support, count and
+	// item count (20); an item is name id and kind (5).
+	numRegions := r.count(uint64(r.u32("region count")), 16, "region count")
+	totalPatterns := r.count(r.u64("pattern total"), 20, "pattern total")
+	totalItems := r.count(r.u64("item total"), 5, "item total")
 	names := r.readInterned("item names")
 	if r.err != nil {
 		return nil, r.err
@@ -342,7 +496,7 @@ func decodeMine(body []byte) (any, error) {
 			return nil, r.err
 		}
 		if np > len(patArena)-patUsed {
-			return nil, fmt.Errorf("pipeline: mine artifact pattern total %d exceeded", totalPatterns)
+			return nil, fmt.Errorf("pipeline: mine artifact pattern total %d exceeded", len(patArena))
 		}
 		pats := patArena[patUsed : patUsed+np : patUsed+np]
 		patUsed += np
@@ -433,12 +587,12 @@ func appendMatrices(dst []byte, v any) ([]byte, error) {
 func decodeMatrices(body []byte) (any, error) {
 	r := &flatReader{data: body}
 	minSupport := r.f64("min support")
-	numRows := int(r.u32("row count"))
-	totalTop := r.u64("top total")
-	totalItems := r.u64("top item total")
-	if totalTop > math.MaxInt32 || totalItems > math.MaxInt32 {
-		return nil, fmt.Errorf("pipeline: matrices artifact totals out of range")
-	}
+	// Minimum encoded sizes: a row is region length, recipes, pattern
+	// count and top count (24 bytes); a scored pattern is its score plus
+	// a pattern tail (28); an item is name id and kind (5).
+	numRows := r.count(uint64(r.u32("row count")), 24, "row count")
+	totalTop := r.count(r.u64("top total"), 28, "top total")
+	totalItems := r.count(r.u64("top item total"), 5, "top item total")
 	names := r.readInterned("item names")
 	if r.err != nil {
 		return nil, r.err
@@ -457,7 +611,7 @@ func decodeMatrices(body []byte) (any, error) {
 			return nil, r.err
 		}
 		if nt < 0 || nt > len(topArena)-topUsed {
-			return nil, fmt.Errorf("pipeline: matrices artifact top total %d exceeded", totalTop)
+			return nil, fmt.Errorf("pipeline: matrices artifact top total %d exceeded", len(topArena))
 		}
 		tops := topArena[topUsed : topUsed+nt : topUsed+nt]
 		topUsed += nt
@@ -477,9 +631,9 @@ func decodeMatrices(body []byte) (any, error) {
 	if topUsed != len(topArena) || itemUsed != len(itemArena) {
 		return nil, fmt.Errorf("pipeline: matrices artifact has missing table data")
 	}
-	numRegions := int(r.u32("region count"))
-	if r.err != nil || numRegions < 0 {
-		return nil, errFlatFrame
+	numRegions := r.count(uint64(r.u32("region count")), 4, "region count")
+	if r.err != nil {
+		return nil, r.err
 	}
 	regions := make([]string, numRegions)
 	for i := range regions {

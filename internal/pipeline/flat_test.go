@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"cuisines/internal/artifact"
 	"cuisines/internal/core"
 	"cuisines/internal/distance"
+	"cuisines/internal/recipedb"
 )
 
 // roundTrip encodes v with c and decodes the result.
@@ -64,6 +66,80 @@ func TestFlatRoundTripIdentity(t *testing.T) {
 	}
 }
 
+// TestCorpusCodecRoundTrip: a corpus round trip reproduces every
+// recipe in stored order and rebuilds the region index, both for a
+// generated corpus and for a hand-built one with empty lists.
+func TestCorpusCodecRoundTrip(t *testing.T) {
+	small, err := recipedb.New([]recipedb.Recipe{
+		{ID: "r1", Name: "Stew", Region: "French", Ingredients: []string{"beef", "wine"}, Processes: []string{"simmer"}, Utensils: []string{"pot"}},
+		{ID: "r2", Name: "Fry", Region: "Chinese", Ingredients: []string{"soy sauce"}, Processes: []string{"heat"}},
+		{ID: "r3", Name: "Salad", Region: "French", Ingredients: []string{"lettuce", "wine"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []*recipedb.DB{small, codecCorpus(t)} {
+		got := roundTrip(t, corpusCodec, db).(*recipedb.DB)
+		if !reflect.DeepEqual(got.Recipes(), db.Recipes()) {
+			t.Error("corpus: recipes differ after flat round-trip")
+		}
+		if !reflect.DeepEqual(got.Regions(), db.Regions()) {
+			t.Errorf("corpus: regions %v after round trip, want %v", got.Regions(), db.Regions())
+		}
+		for _, region := range db.Regions() {
+			if got.RegionSize(region) != db.RegionSize(region) {
+				t.Errorf("corpus: region index not rebuilt: %s has %d recipes, want %d", region, got.RegionSize(region), db.RegionSize(region))
+			}
+		}
+	}
+	if got := roundTrip(t, corpusCodec, small).(*recipedb.DB); got.RegionSize("French") != 2 {
+		t.Errorf("region index not rebuilt: French has %d recipes, want 2", got.RegionSize("French"))
+	}
+}
+
+// TestCorpusCodecRejectsInvalidRecipes: decode rebuilds the DB through
+// recipedb.New, so a body holding a recipe that fails validation or a
+// duplicate ID is an error, never a structurally broken DB.
+func TestCorpusCodecRejectsInvalidRecipes(t *testing.T) {
+	for name, recipes := range map[string][]recipedb.Recipe{
+		"empty region": {{ID: "x", Ingredients: []string{"a"}}},
+		"duplicate id": {
+			{ID: "x", Region: "French", Ingredients: []string{"a"}},
+			{ID: "x", Region: "Chinese", Ingredients: []string{"b"}},
+		},
+	} {
+		if _, err := decodeCorpus(appendRecipes(nil, recipes)); err == nil {
+			t.Errorf("%s: decode succeeded, want error", name)
+		}
+	}
+}
+
+// TestCorpusCodecDeterministic: a corpus has exactly one encoding, so
+// encoding it twice — or re-encoding a decoded copy, as a cluster node
+// does when it serves a memory-tier value to a peer — gives identical
+// bytes.
+func TestCorpusCodecDeterministic(t *testing.T) {
+	db := codecCorpus(t)
+	a, err := corpusCodec.AppendEncode(nil, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := corpusCodec.AppendEncode(nil, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("two encodings of one corpus differ")
+	}
+	c, err := corpusCodec.AppendEncode(nil, roundTrip(t, corpusCodec, db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, c) {
+		t.Error("re-encoding a decoded corpus changed its bytes")
+	}
+}
+
 func mustGob(t *testing.T, v any) []byte {
 	t.Helper()
 	var buf strings.Builder
@@ -85,6 +161,7 @@ func TestFlatDecodeRejectsDamage(t *testing.T) {
 		codec flatCodec
 		v     any
 	}{
+		{"corpus", corpusCodec, codecCorpus(t)},
 		{"mine", mineCodec, mined},
 		{"matrices", matricesCodec, feats},
 		{"pdist", pdistCodec, pd},

@@ -13,8 +13,10 @@
 package treecmp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cuisines/internal/distance"
@@ -223,8 +225,26 @@ type Report struct {
 	Cophenetic     float64
 	BakersGamma    float64
 	RobinsonFoulds float64
-	// FowlkesMallows holds B_k for the ks requested.
-	FowlkesMallows map[int]float64
+	// FowlkesMallows holds B_k for the ks requested, sorted by k. It is
+	// a slice rather than a map because the report is part of the cached
+	// validate artifact: gob writes map entries in random order, so a
+	// map would give one report many encodings.
+	FowlkesMallows []BkScore
+}
+
+// BkScore is the Fowlkes-Mallows B_k of one cut size k.
+type BkScore struct {
+	K int
+	B float64
+}
+
+// BK returns B_k, or 0 if k was not requested.
+func (r *Report) BK(k int) float64 {
+	i, ok := slices.BinarySearchFunc(r.FowlkesMallows, k, func(s BkScore, k int) int { return cmp.Compare(s.K, k) })
+	if !ok {
+		return 0
+	}
+	return r.FowlkesMallows[i].B
 }
 
 // Compare runs every statistic between candidate and reference trees.
@@ -247,14 +267,15 @@ func Compare(candidate, reference *hac.Tree, bks []int) (*Report, error) {
 		Cophenetic:     coph,
 		BakersGamma:    gamma,
 		RobinsonFoulds: rf,
-		FowlkesMallows: make(map[int]float64, len(bks)),
 	}
-	for _, k := range bks {
+	ks := slices.Clone(bks)
+	slices.Sort(ks)
+	for _, k := range slices.Compact(ks) {
 		bk, err := FowlkesMallows(candidate, reference, k)
 		if err != nil {
 			return nil, err
 		}
-		rep.FowlkesMallows[k] = bk
+		rep.FowlkesMallows = append(rep.FowlkesMallows, BkScore{K: k, B: bk})
 	}
 	return rep, nil
 }

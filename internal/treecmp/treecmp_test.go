@@ -173,10 +173,34 @@ func TestCompareAggregates(t *testing.T) {
 		t.Fatalf("cophenetic = %v for near-identical trees", rep.Cophenetic)
 	}
 	if len(rep.FowlkesMallows) != 2 {
-		t.Fatalf("B_k map = %v", rep.FowlkesMallows)
+		t.Fatalf("B_k = %v", rep.FowlkesMallows)
 	}
 	if rep.RobinsonFoulds != 0 {
 		t.Fatalf("RF = %v for same topology", rep.RobinsonFoulds)
+	}
+}
+
+func TestCompareBkSortedByK(t *testing.T) {
+	a := treeFrom(t, []float64{0, 1, 5, 6, 20, 21})
+	b := treeFrom(t, []float64{0, 20, 1, 21, 5, 22})
+	rep, err := Compare(a, b, []int{3, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.FowlkesMallows) != 2 || rep.FowlkesMallows[0].K != 2 || rep.FowlkesMallows[1].K != 3 {
+		t.Fatalf("B_k = %v, want k = 2, 3 in order", rep.FowlkesMallows)
+	}
+	for _, k := range []int{2, 3} {
+		want, err := FowlkesMallows(a, b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.BK(k); got != want {
+			t.Errorf("BK(%d) = %v, want %v", k, got, want)
+		}
+	}
+	if got := rep.BK(4); got != 0 {
+		t.Errorf("BK(4) = %v for an unrequested k, want 0", got)
 	}
 }
 
