@@ -106,16 +106,9 @@ type ClaimsResponse struct {
 	AllHold bool           `json:"all_hold"`
 }
 
-// StatsResponse is the /v1/stats body: the Sec. III corpus statistics
-// plus the canonical mining backend the request selects. The backend is
-// echoed so operators can confirm how the daemon resolved their -miner
-// flag or ?miner= override; because the miner can never change any
-// output it is not part of the cache key, so the echoed name is the
-// backend a cache miss for these options would run, not necessarily
-// the one that originally computed the (shared) cached analysis.
+// StatsResponse is the /v1/stats body: the Sec. III corpus statistics.
 type StatsResponse struct {
 	recipedb.Stats
-	Miner string `json:"miner"`
 }
 
 // StageCacheStats counts one pipeline stage's artifact cache traffic.
@@ -321,9 +314,6 @@ func (c *Client) query(extra url.Values) url.Values {
 	}
 	if c.Options.Linkage != "" {
 		q.Set("linkage", c.Options.Linkage)
-	}
-	if c.Options.Miner != "" {
-		q.Set("miner", c.Options.Miner)
 	}
 	for k, vs := range extra {
 		q[k] = vs
@@ -620,8 +610,7 @@ func (c *Client) Claims(ctx context.Context) (ClaimsResponse, error) {
 	return r, err
 }
 
-// Stats fetches the Sec. III corpus statistics plus the canonical
-// mining backend the daemon used for this client's options.
+// Stats fetches the Sec. III corpus statistics.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var st StatsResponse
 	err := c.get(ctx, "/v1/stats", nil, &st)

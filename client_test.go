@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"cuisines"
-	"cuisines/internal/miner"
 	"cuisines/internal/server"
 )
 
@@ -178,9 +177,6 @@ func TestClientRoundTrip(t *testing.T) {
 	st, err := c.Stats(ctx)
 	if err != nil || !reflect.DeepEqual(st.Stats, ref.Stats()) {
 		t.Fatalf("stats differ:\nwire:  %+v\nlocal: %+v (%v)", st.Stats, ref.Stats(), err)
-	}
-	if want := miner.Default.Name(); st.Miner != want {
-		t.Fatalf("stats echoed miner %q, want default %q", st.Miner, want)
 	}
 }
 

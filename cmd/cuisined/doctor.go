@@ -11,7 +11,6 @@ import (
 	"strconv"
 
 	"cuisines/internal/hac"
-	"cuisines/internal/miner"
 	"cuisines/internal/pipeline"
 )
 
@@ -22,13 +21,9 @@ import (
 // daemon could not serve correctly with this configuration; orphaned
 // artifacts (stale codec versions) are only reported — they are ignored
 // and recomputed at runtime, never misread.
-func runDoctor(out io.Writer, cacheDir, minerName, linkage string) error {
+func runDoctor(out io.Writer, cacheDir, linkage string) error {
 	fmt.Fprintf(out, "cuisined doctor\n")
 
-	if _, err := miner.Parse(minerName); err != nil {
-		return fmt.Errorf("miner flag: %w", err)
-	}
-	fmt.Fprintf(out, "  miner %q: ok\n", minerName)
 	if _, err := hac.ParseMethod(linkage); err != nil {
 		return fmt.Errorf("linkage flag: %w", err)
 	}

@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -34,7 +35,6 @@ import (
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
 	"cuisines/internal/hac"
-	"cuisines/internal/miner"
 	"cuisines/internal/pipeline"
 	"cuisines/internal/recipedb"
 )
@@ -64,25 +64,19 @@ type Options struct {
 	// result is byte-identical for any value — parallelism only changes
 	// how fast the answer arrives, never the answer (see DESIGN.md §3).
 	Workers int
-	// Miner names the frequent-itemset mining backend for the
-	// per-cuisine mine stage: "apriori", "eclat" or "fpgrowth" (plus
-	// the "fp-growth"/"fp" spellings); empty selects the benchmark-
-	// chosen default. All backends run over the shared bitset
-	// transaction index and produce byte-identical pattern sets, so —
-	// like Workers — the miner is a pure performance knob: it never
-	// enters a cache or artifact key (see DESIGN.md §9).
-	Miner string
 }
 
 // Canonical returns the Options with every default applied and the
-// linkage and miner names normalized ("upgma" -> "average",
-// "fp-growth" -> "fpgrowth"), rejecting unknown linkage methods and
-// mining backends. Two Options describe the same analysis exactly when
-// their canonical forms differ only in Workers or Miner: neither
-// parallelism nor the mining backend changes the output, so the
-// serving cache keys on the canonical form with both zeroed
-// (DESIGN.md §7, §9).
+// linkage name normalized ("upgma" -> "average"), rejecting unknown
+// linkage methods and a non-finite Scale or MinSupport. Two Options
+// describe the same analysis exactly when their canonical forms differ
+// only in Workers: parallelism never changes the output, so the
+// serving cache keys on the canonical form with Workers zeroed
+// (DESIGN.md §7).
 func (o Options) Canonical() (Options, error) {
+	if !isFinite(o.Scale) || !isFinite(o.MinSupport) {
+		return Options{}, fmt.Errorf("cuisines: scale %v and min support %v must be finite", o.Scale, o.MinSupport)
+	}
 	if o.Seed == 0 {
 		o.Seed = corpus.DefaultSeed
 	}
@@ -100,13 +94,10 @@ func (o Options) Canonical() (Options, error) {
 		return Options{}, err
 	}
 	o.Linkage = method.String()
-	m, err := miner.Parse(o.Miner)
-	if err != nil {
-		return Options{}, err
-	}
-	o.Miner = m.Name()
 	return o, nil
 }
+
+func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Figure selects one of the paper's dendrograms.
 type Figure int
@@ -264,17 +255,12 @@ func (e *Engine) RunContext(ctx context.Context, opts Options) (*Analysis, error
 	if err != nil {
 		return nil, err
 	}
-	m, err := miner.Parse(opts.Miner)
-	if err != nil {
-		return nil, err
-	}
 	res, err := e.pipe.Run(ctx, pipeline.Params{
 		Seed:       opts.Seed,
 		Scale:      opts.Scale,
 		MinSupport: opts.MinSupport,
 		Method:     method,
 		Workers:    opts.Workers,
-		Miner:      m,
 	})
 	if err != nil {
 		return nil, err
@@ -304,17 +290,11 @@ func (e *Engine) RunFromJSONL(r io.Reader, opts Options) (*Analysis, error) {
 // corpus stage is keyed by a content hash of the recipes, so the same
 // dataset supplied twice shares all downstream artifacts.
 func (e *Engine) runOn(db *recipedb.DB, opts Options) (*Analysis, error) {
-	if opts.MinSupport <= 0 {
-		opts.MinSupport = core.DefaultMinSupport
-	}
-	if opts.Linkage == "" {
-		opts.Linkage = core.DefaultLinkage.String()
-	}
-	method, err := hac.ParseMethod(opts.Linkage)
+	opts, err := opts.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	m, err := miner.Parse(opts.Miner)
+	method, err := hac.ParseMethod(opts.Linkage)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +302,6 @@ func (e *Engine) runOn(db *recipedb.DB, opts Options) (*Analysis, error) {
 		MinSupport: opts.MinSupport,
 		Method:     method,
 		Workers:    opts.Workers,
-		Miner:      m,
 	})
 	if err != nil {
 		return nil, err
@@ -366,8 +345,9 @@ func Run(opts Options) (*Analysis, error) {
 }
 
 // RunFromCSV runs the pipeline on recipes read from CSV (the format
-// written by `cmd/recipegen -format csv`). Options.Seed and Scale are
-// ignored — the data is what the reader provides.
+// written by `cmd/recipegen -format csv`). Options.Seed and Scale do
+// not select the data — the reader provides it — but are still
+// validated by Canonical.
 func RunFromCSV(r io.Reader, opts Options) (*Analysis, error) {
 	return NewEngine(EngineConfig{}).RunFromCSV(r, opts)
 }

@@ -3,8 +3,6 @@ package cuisines
 import (
 	"strings"
 	"testing"
-
-	"cuisines/internal/miner"
 )
 
 const engineTestScale = 0.05
@@ -80,63 +78,5 @@ func TestEngineLinkageOnlyChangeReusesStages(t *testing.T) {
 		if got := st[kind].Computed; got != 1 {
 			t.Errorf("%s computed %d times across a linkage-only change, want 1", kind, got)
 		}
-	}
-}
-
-// TestEngineMinerChangeReusesEverything: sweeping the mining backend on
-// a warm engine is free — every backend produces byte-identical
-// patterns, the miner never enters a stage key, so the only new work is
-// cache lookups. The outputs must also be byte-identical end to end.
-func TestEngineMinerChangeReusesEverything(t *testing.T) {
-	e := NewEngine(EngineConfig{})
-	first, err := e.Run(Options{Scale: engineTestScale, Miner: "fpgrowth"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := analysisSnapshot(t, first)
-	cold := uint64(0)
-	for _, s := range e.CacheStats() {
-		cold += s.Computed
-	}
-	for _, name := range append(miner.Names(), "", "fp") {
-		a, err := e.Run(Options{Scale: engineTestScale, Miner: name})
-		if err != nil {
-			t.Fatalf("miner %q: %v", name, err)
-		}
-		if got := analysisSnapshot(t, a); got != want {
-			t.Errorf("miner %q: output differs", name)
-		}
-	}
-	total := uint64(0)
-	for _, s := range e.CacheStats() {
-		total += s.Computed
-	}
-	if total != cold {
-		t.Errorf("miner sweep recomputed %d stage executions on a warm engine, want 0", total-cold)
-	}
-}
-
-// TestOptionsCanonicalMiner pins the miner knob's canonicalization:
-// spellings collapse to canonical names, the empty string selects the
-// default backend, and unknown backends are rejected.
-func TestOptionsCanonicalMiner(t *testing.T) {
-	for in, want := range map[string]string{
-		"":          miner.Default.Name(),
-		"fp":        "fpgrowth",
-		"FP-Growth": "fpgrowth",
-		"Eclat":     "eclat",
-		"apriori":   "apriori",
-	} {
-		canon, err := Options{Miner: in}.Canonical()
-		if err != nil {
-			t.Errorf("Canonical(miner=%q): %v", in, err)
-			continue
-		}
-		if canon.Miner != want {
-			t.Errorf("Canonical(miner=%q).Miner = %q, want %q", in, canon.Miner, want)
-		}
-	}
-	if _, err := (Options{Miner: "bogus"}).Canonical(); err == nil {
-		t.Error("unknown miner accepted by Canonical")
 	}
 }

@@ -56,7 +56,7 @@ func MineRegionsWith(db *recipedb.DB, minSupport float64, workers int, m miner.M
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}
-	if minSupport <= 0 || minSupport > 1 {
+	if !(minSupport > 0 && minSupport <= 1) {
 		return nil, fmt.Errorf("core: min support %v out of (0, 1]", minSupport)
 	}
 	if m == nil {

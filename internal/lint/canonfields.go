@@ -17,8 +17,8 @@ import (
 // DESIGN.md §8). Adding a field to either without deciding its
 // cache-key fate silently aliases distinct analyses to one artifact —
 // this analyzer makes that a build error. Fields that are *proven*
-// output-neutral (Workers, Miner: pure performance knobs pinned by
-// equivalence tests) are excluded below; a new exclusion is a code
+// output-neutral (Workers: a pure performance knob pinned by the
+// parallel equivalence tests) are excluded below; a new exclusion is a code
 // change here, i.e. a reviewed decision.
 var CanonFields = &analysis.Analyzer{
 	Name: "canonfields",
@@ -34,9 +34,9 @@ type canonTarget struct {
 	exclude  map[string]bool
 }
 
-// perfKnobs are the fields every backend/worker-count equivalence test
-// proves output-neutral; they are deliberately absent from cache keys.
-var perfKnobs = map[string]bool{"Workers": true, "Miner": true}
+// perfKnobs are the fields the worker-count equivalence tests prove
+// output-neutral; they are deliberately absent from cache keys.
+var perfKnobs = map[string]bool{"Workers": true}
 
 var canonTargets = map[string][]canonTarget{
 	"cuisines": {

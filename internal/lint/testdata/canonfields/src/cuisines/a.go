@@ -1,13 +1,12 @@
 // Fixture for the canonfields analyzer, root-package target: Options
-// grows a field (NewKnob) that Canonical never references. Workers
-// and Miner are the configured exclusions and must not be reported.
+// grows a field (NewKnob) that Canonical never references. Workers is
+// the configured exclusion and must not be reported.
 package cuisines
 
 type Options struct {
 	Seed    uint64
 	Scale   float64
 	Workers int
-	Miner   string
 	NewKnob string
 }
 

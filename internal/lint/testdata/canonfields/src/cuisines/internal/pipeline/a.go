@@ -8,7 +8,6 @@ type Params struct {
 	Scale   float64
 	Extra   int
 	Workers int
-	Miner   string
 }
 
 type Pipeline struct{}

@@ -1,23 +1,18 @@
-// Package miner defines the pluggable frequent-itemset mining backend
-// layer: a single Miner interface over the shared bitset transaction
-// index (itemset.Index), a registry of the three implementations
-// (Apriori, Eclat, FP-Growth), and the selection knob threaded through
-// core.MineRegionsWith, the pipeline's mine stage, cuisines.Options and
-// the daemon/CLI flags (DESIGN.md §9).
+// Package miner defines the frequent-itemset mining backend layer: a
+// single Miner interface over the shared bitset transaction index
+// (itemset.Index) and the three implementations (Apriori, Eclat,
+// FP-Growth). The running system mines with Default only; the other
+// backends are kept for the agreement tests and the P6 benchmark
+// (DESIGN.md §9).
 //
 // Every backend emits the identical sorted pattern set for the same
 // index and threshold — pinned by the byte-identity and randomized
-// agreement tests in this package — so the backend, like the worker
-// count, is a pure performance knob: it never enters an artifact or
-// cache key, and switching it against a warm store recomputes nothing.
+// agreement tests in this package — so changing Default changes how
+// fast the mine stage runs, never its output. That is why no backend
+// name enters an artifact or cache key.
 package miner
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-
 	"cuisines/internal/apriori"
 	"cuisines/internal/eclat"
 	"cuisines/internal/fpgrowth"
@@ -61,85 +56,14 @@ var (
 	FPGrowth Miner = backend{"fpgrowth", fpgrowth.MineIndex}
 )
 
-// Default is the backend used when none is selected — the P6 benchmark
+// Default is the backend the system mines with — the P6 benchmark
 // winner (backend × support × scale; see "Choosing a mining backend" in
 // README.md). Changing it never changes any output, only how fast the
 // mine stage runs.
 var Default = Eclat
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Miner{}
-	// aliases maps accepted spellings to canonical names.
-	aliases = map[string]string{
-		"fp-growth": "fpgrowth",
-		"fp_growth": "fpgrowth",
-		"fp":        "fpgrowth",
-	}
-)
-
-func init() {
-	for _, m := range []Miner{Apriori, Eclat, FPGrowth} {
-		Register(m)
-	}
-}
-
-// Register adds a backend under its canonical (lowercased) name. It
-// panics on an empty or duplicate name: registration is an init-time
-// programming act, not a runtime input.
-func Register(m Miner) {
-	name := strings.ToLower(strings.TrimSpace(m.Name()))
-	if name == "" {
-		panic("miner: Register with empty name")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("miner: Register called twice for %q", name))
-	}
-	registry[name] = m
-}
-
-// Parse resolves a backend name, case-insensitively and accepting the
-// common FP-Growth spellings ("fp-growth", "fp"). The empty string
-// resolves to Default, mirroring how Options canonicalization treats
-// unset knobs.
-func Parse(name string) (Miner, error) {
-	s := strings.ToLower(strings.TrimSpace(name))
-	if s == "" {
-		return Default, nil
-	}
-	if canon, ok := aliases[s]; ok {
-		s = canon
-	}
-	mu.RLock()
-	m, ok := registry[s]
-	mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("miner: unknown mining backend %q (have %s)", name, strings.Join(Names(), ", "))
-	}
-	return m, nil
-}
-
-// All returns every registered backend in name order — the sweep the
-// agreement tests and the P6 benchmark iterate over.
+// All returns every backend in name order — the sweep the agreement
+// tests and the P6 benchmark iterate over.
 func All() []Miner {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]Miner, 0, len(registry))
-	for _, m := range registry {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// Names returns the registered backend names in sorted order.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, m := range all {
-		names[i] = m.Name()
-	}
-	return names
+	return []Miner{Apriori, Eclat, FPGrowth}
 }

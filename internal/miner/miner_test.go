@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"cuisines/internal/corpus"
@@ -12,55 +11,22 @@ import (
 	"cuisines/internal/miner"
 )
 
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-	}{
-		{"apriori", "apriori"},
-		{"eclat", "eclat"},
-		{"fpgrowth", "fpgrowth"},
-		{"FP-Growth", "fpgrowth"},
-		{"fp_growth", "fpgrowth"},
-		{"fp", "fpgrowth"},
-		{" Eclat ", "eclat"},
-		{"", miner.Default.Name()},
-	}
-	for _, c := range cases {
-		m, err := miner.Parse(c.in)
-		if err != nil {
-			t.Errorf("Parse(%q): %v", c.in, err)
-			continue
-		}
-		if m.Name() != c.want {
-			t.Errorf("Parse(%q) = %q, want %q", c.in, m.Name(), c.want)
-		}
-	}
-	if _, err := miner.Parse("magic"); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("unknown backend error = %v", err)
-	}
-}
-
-func TestRegistryOrder(t *testing.T) {
-	names := miner.Names()
-	if len(names) < 3 {
-		t.Fatalf("names = %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
+// TestAllOrder pins the backend sweep: every backend once, in name
+// order, with Default among them.
+func TestAllOrder(t *testing.T) {
 	all := miner.All()
-	for i, m := range all {
-		if m.Name() != names[i] {
-			t.Fatalf("All()[%d] = %q, Names()[%d] = %q", i, m.Name(), i, names[i])
-		}
+	if len(all) != 3 {
+		t.Fatalf("All() has %d backends, want 3", len(all))
 	}
-	// The default must be a registered backend (Parse must round-trip it).
-	m, err := miner.Parse(miner.Default.Name())
-	if err != nil || m.Name() != miner.Default.Name() {
-		t.Fatalf("Default %q not registered: %v", miner.Default.Name(), err)
+	hasDefault := false
+	for i, m := range all {
+		if i > 0 && all[i-1].Name() >= m.Name() {
+			t.Fatalf("All() not in name order: %q before %q", all[i-1].Name(), m.Name())
+		}
+		hasDefault = hasDefault || m.Name() == miner.Default.Name()
+	}
+	if !hasDefault {
+		t.Fatalf("Default %q is not in All()", miner.Default.Name())
 	}
 }
 
@@ -76,7 +42,7 @@ func encodePatterns(t *testing.T, ps []itemset.Pattern) []byte {
 }
 
 // TestBackendsByteIdenticalOnCorpus is the tentpole's acceptance test:
-// all registered backends must produce byte-identical serialized
+// all backends must produce byte-identical serialized
 // pattern sets for every region of the calibrated corpus at both
 // support thresholds. This is what licenses excluding the miner name
 // from artifact and cache keys.

@@ -10,10 +10,11 @@ import (
 
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
+	"cuisines/internal/distance"
 )
 
 // Fuzz targets for the flat body decoders. They call decodeCorpus,
-// decodeMine and decodeMatrices directly, skipping the CFL1 CRC and the
+// decodeMine, decodeMatrices and decodeCondensed directly, skipping the CFL1 CRC and the
 // store's sha256 the way a hostile peer or a planted .art file would:
 // anyone can compute those checksums, so the decoders themselves must
 // return an error — never panic, never allocate past the input's size —
@@ -42,6 +43,7 @@ var fuzzSeedBodies = sync.OnceValues(func() (map[string][]byte, error) {
 		"corpus":   db,
 		"mine":     mined,
 		"matrices": &PatternFeatures{Table1: t1, Matrix: pm},
+		"pdist":    distance.Pdist(pm.X, distance.Cosine),
 	} {
 		body, err := Codecs()[kind].(flatCodec).appendFn(nil, v)
 		if err != nil {
@@ -153,4 +155,11 @@ func FuzzDecodeMine(f *testing.F) {
 
 func FuzzDecodeMatrices(f *testing.F) {
 	fuzzDecoder(f, "matrices", decodeMatrices, matricesRegionCountCrasher())
+}
+
+// FuzzDecodeCondensed covers the pdist and geodist bodies (one decoder).
+// The extra seed claims the largest accepted point count, whose pair
+// count times eight is past the int64 range.
+func FuzzDecodeCondensed(f *testing.F) {
+	fuzzDecoder(f, "pdist", decodeCondensed, binary.LittleEndian.AppendUint64(nil, math.MaxInt32))
 }

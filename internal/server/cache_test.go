@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -74,12 +75,19 @@ func TestCacheDoesNotCacheFailures(t *testing.T) {
 }
 
 func TestCacheRejectsBadOptions(t *testing.T) {
+	// The runner executes on the flight's goroutine, where t.Fatal
+	// would hang the waiter instead of failing the test.
 	c := NewCache(1, func(context.Context, cuisines.Options) (*cuisines.Analysis, error) {
-		t.Fatal("runner called for invalid options")
-		return nil, nil
+		t.Error("runner called for invalid options")
+		return nil, errors.New("invalid options reached the runner")
 	}, nil)
 	if _, err := c.Get(context.Background(), cuisines.Options{Linkage: "centroid"}); err == nil {
 		t.Fatal("unknown linkage accepted")
+	}
+	for _, o := range []cuisines.Options{{Scale: math.NaN()}, {MinSupport: math.NaN()}} {
+		if _, err := c.Get(context.Background(), o); err == nil {
+			t.Fatalf("non-finite options %+v accepted", o)
+		}
 	}
 }
 
@@ -96,32 +104,5 @@ func TestCacheKeyIgnoresWorkers(t *testing.T) {
 	}
 	if runs != 1 {
 		t.Fatalf("worker counts split the cache key (%d runs)", runs)
-	}
-}
-
-func TestCacheKeyIgnoresMiner(t *testing.T) {
-	runs := 0
-	var sawMiner string
-	c := NewCache(4, func(_ context.Context, o cuisines.Options) (*cuisines.Analysis, error) {
-		runs++
-		sawMiner = o.Miner
-		return nil, nil
-	}, nil)
-	// Every backend spelling shares one analysis: the output is
-	// backend-independent, so keying on it would only waste cache slots.
-	for _, m := range []string{"fpgrowth", "", "eclat", "apriori", "FP-Growth"} {
-		if _, err := c.Get(context.Background(), cuisines.Options{Miner: m}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if runs != 1 {
-		t.Fatalf("miner names split the cache key (%d runs)", runs)
-	}
-	// The one real run still receives the caller's backend choice.
-	if sawMiner != "fpgrowth" {
-		t.Fatalf("runner saw miner %q, want the requested %q", sawMiner, "fpgrowth")
-	}
-	if _, err := c.Get(context.Background(), cuisines.Options{Miner: "bogus"}); err == nil {
-		t.Fatal("unknown miner accepted")
 	}
 }

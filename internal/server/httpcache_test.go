@@ -153,22 +153,6 @@ func TestPrettyBypassesRenderCache(t *testing.T) {
 	}
 }
 
-func TestStatsMinerEchoKeyedSeparately(t *testing.T) {
-	s := testServer(t)
-	_, b1, _ := get(t, s, "/v1/stats?miner=apriori")
-	_, b2, _ := get(t, s, "/v1/stats?miner=eclat")
-	var s1, s2 cuisines.StatsResponse
-	if err := json.Unmarshal(b1, &s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b2, &s2); err != nil {
-		t.Fatal(err)
-	}
-	if s1.Miner != "apriori" || s2.Miner != "eclat" {
-		t.Fatalf("miner echo wrong: %q / %q (render key must include the miner)", s1.Miner, s2.Miner)
-	}
-}
-
 func TestRenderEntriesEvictedWithAnalysis(t *testing.T) {
 	s := New(Config{
 		Base:      cuisines.Options{Scale: testScale},

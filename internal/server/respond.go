@@ -35,9 +35,8 @@ const CacheControl = "public, no-cache"
 type resource struct {
 	s      *Server
 	a      *cuisines.Analysis
-	owner  string           // stable string form of the analysis cache key
-	canon  cuisines.Options // full canonical options (stats echoes Miner)
-	pretty bool             // ?pretty=1: human-readable, bypasses the cache
+	owner  string // stable string form of the analysis cache key
+	pretty bool   // ?pretty=1: human-readable, bypasses the cache
 }
 
 // httpError carries a response status through a render build closure.
@@ -69,10 +68,8 @@ func (s *Server) writeBuildError(w http.ResponseWriter, err error) {
 }
 
 // serveJSON renders v = build() as compact JSON through the render
-// cache. extraKey distinguishes responses that depend on more than the
-// path and content query parameters (only /v1/stats' miner echo today).
-// ?pretty=1 bypasses the cache entirely and indents for humans.
-func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, extraKey string, build func() (any, error)) {
+// cache. ?pretty=1 bypasses the cache entirely and indents for humans.
+func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, build func() (any, error)) {
 	if rc.pretty {
 		v, err := build()
 		if err != nil {
@@ -82,7 +79,7 @@ func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, extraKey s
 		writeJSONIndent(w, http.StatusOK, v)
 		return
 	}
-	rc.serveBytes(w, r, "application/json; charset=utf-8", extraKey, func() ([]byte, error) {
+	rc.serveBytes(w, r, "application/json; charset=utf-8", func() ([]byte, error) {
 		v, err := build()
 		if err != nil {
 			return nil, err
@@ -98,8 +95,8 @@ func (rc *resource) serveJSON(w http.ResponseWriter, r *http.Request, extraKey s
 // serveBytes is the cached byte path shared by JSON and plain-text
 // endpoints: single-flighted render, strong ETag, conditional 304,
 // negotiated once-per-entry gzip.
-func (rc *resource) serveBytes(w http.ResponseWriter, r *http.Request, contentType, extraKey string, build func() ([]byte, error)) {
-	key := rc.owner + "|" + r.URL.EscapedPath() + "|" + canonicalQuery(r.URL.Query()) + extraKey
+func (rc *resource) serveBytes(w http.ResponseWriter, r *http.Request, contentType string, build func() ([]byte, error)) {
+	key := rc.owner + "|" + r.URL.EscapedPath() + "|" + canonicalQuery(r.URL.Query())
 	e, err := rc.s.renders.Get(r.Context(), rc.owner, key, build)
 	if err != nil {
 		rc.s.writeBuildError(w, err)
@@ -134,11 +131,10 @@ func (rc *resource) serveBytes(w http.ResponseWriter, r *http.Request, contentTy
 
 // renderKeyDrop lists query parameters that must not fragment render
 // keys: the analysis options are already captured by the owner (the
-// analysis cache key), miner is canonicalized into extraKey where it
-// matters (/v1/stats), and pretty bypasses the cache entirely.
+// analysis cache key), and pretty bypasses the cache entirely.
 var renderKeyDrop = map[string]bool{
 	"seed": true, "scale": true, "support": true, "linkage": true,
-	"miner": true, "pretty": true,
+	"pretty": true,
 }
 
 // canonicalQuery renders the content-bearing query parameters in a

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"cuisines"
-	"cuisines/internal/miner"
 )
 
 // testScale keeps pipeline runs fast while preserving all 26 regions
@@ -195,9 +194,8 @@ func TestEndpoints(t *testing.T) {
 		}},
 		{"stats", "/v1/stats", 200, func(t *testing.T, b []byte) {
 			var st struct {
-				Recipes int    `json:"recipes"`
-				Regions int    `json:"regions"`
-				Miner   string `json:"miner"`
+				Recipes int `json:"recipes"`
+				Regions int `json:"regions"`
 			}
 			if err := json.Unmarshal(b, &st); err != nil {
 				t.Fatal(err)
@@ -205,28 +203,15 @@ func TestEndpoints(t *testing.T) {
 			if st.Regions != 26 || st.Recipes <= 0 {
 				t.Fatalf("stats: %+v", st)
 			}
-			if st.Miner != miner.Default.Name() {
-				t.Fatalf("stats echoed miner %q, want default %q", st.Miner, miner.Default.Name())
-			}
-		}},
-		{"stats miner override echoed", "/v1/stats?miner=fp-growth", 200, func(t *testing.T, b []byte) {
-			var st struct {
-				Miner string `json:"miner"`
-			}
-			if err := json.Unmarshal(b, &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.Miner != "fpgrowth" {
-				t.Fatalf("stats echoed miner %q, want canonical %q", st.Miner, "fpgrowth")
-			}
 		}},
 		{"bad scale", "/v1/table?scale=banana", 400, checkError},
 		{"scale above cap", "/v1/table?scale=100000", 400, checkError},
 		{"negative scale", "/v1/table?scale=-1", 400, checkError},
+		{"NaN scale", "/v1/stats?scale=NaN", 400, checkError},
+		{"NaN support", "/v1/stats?support=NaN", 400, checkError},
 		{"bad seed", "/v1/table?seed=-3", 400, checkError},
 		{"bad support", "/v1/table?support=1.5", 400, checkError},
 		{"unknown linkage", "/v1/table?linkage=centroid", 400, checkError},
-		{"unknown miner", "/v1/table?miner=bogus", 400, checkError},
 		{"unknown path", "/v1/nope", 404, nil},
 	}
 	for _, tc := range cases {
@@ -375,15 +360,36 @@ func TestConcurrentRequestsDeduplicated(t *testing.T) {
 	if got := runs.Load(); got != 2 {
 		t.Fatalf("upgma alias missed the average-linkage cache entry (%d runs)", got)
 	}
+}
 
-	// A miner override is never a new key: the backend cannot change
-	// the output, so it must share the existing analysis.
-	resp, err = http.Get(ts.URL + "/v1/stats?miner=apriori")
-	if err != nil {
-		t.Fatal(err)
+// TestNaNOptionsNeverCached: NaN passes every ordered range check and
+// never compares equal to itself, so a NaN-keyed entry could neither be
+// found again nor evicted — each request would rerun the pipeline and
+// grow the entry map past the LRU bound. Both NaN queries must be
+// rejected before the cache is touched.
+func TestNaNOptionsNeverCached(t *testing.T) {
+	var runs atomic.Int64
+	s := New(Config{
+		Base:      cuisines.Options{Scale: testScale},
+		CacheSize: 2,
+		Runner: func(_ context.Context, o cuisines.Options) (*cuisines.Analysis, error) {
+			runs.Add(1)
+			return cuisines.Run(o)
+		},
+	})
+	for i := 0; i < 4; i++ {
+		for _, path := range []string{"/v1/stats?scale=NaN", "/v1/stats?support=NaN"} {
+			if code, body, _ := get(t, s, path); code != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400 (%s)", path, code, body)
+			}
+		}
 	}
-	resp.Body.Close()
-	if got := runs.Load(); got != 2 {
-		t.Fatalf("miner override split the analysis cache key (%d runs)", got)
+	if got := runs.Load(); got != 0 {
+		t.Fatalf("NaN queries ran the pipeline %d times", got)
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	if len(s.cache.entries) != s.cache.lru.Len() {
+		t.Fatalf("cache map holds %d entries, LRU %d", len(s.cache.entries), s.cache.lru.Len())
 	}
 }

@@ -1,9 +1,11 @@
 package cuisines
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestClosestCuisineMemoized covers the per-request facade fix: repeated
@@ -162,5 +164,35 @@ func TestOptionsCanonical(t *testing.T) {
 	}
 	if _, err := (Options{Linkage: "centroid"}).Canonical(); err == nil {
 		t.Fatal("unknown linkage accepted")
+	}
+}
+
+// TestOptionsRejectNonFinite: NaN slips through every ordered range
+// check (NaN <= 0 and NaN > 1 are both false), so Canonical must reject
+// non-finite Scale and MinSupport itself. A NaN support used to reach
+// the miners, which then never finished.
+func TestOptionsRejectNonFinite(t *testing.T) {
+	for _, o := range []Options{
+		{Scale: math.NaN()},
+		{Scale: math.Inf(1)},
+		{MinSupport: math.NaN()},
+		{MinSupport: math.Inf(-1)},
+	} {
+		if _, err := o.Canonical(); err == nil {
+			t.Errorf("Canonical accepted %+v", o)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(Options{MinSupport: math.NaN()})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Run accepted a NaN min support")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run with a NaN min support did not return")
 	}
 }
