@@ -10,6 +10,7 @@ package authenticity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cuisines/internal/itemset"
@@ -42,8 +43,17 @@ type Options struct {
 	MinRegionPrevalence float64
 }
 
-// Build computes the prevalence matrices for a database.
+// Build computes the prevalence matrices for a database, over a column
+// view built for this call.
 func Build(db *recipedb.DB, opts Options) (*Matrix, error) {
+	return BuildColumns(db.Columns(), opts)
+}
+
+// BuildColumns is Build over a prebuilt column view. Counts go into one
+// flat items x regions table indexed by column id, and columns are
+// picked in table order, which is canonical order.
+func BuildColumns(cols *recipedb.Columns, opts Options) (*Matrix, error) {
+	db := cols.DB()
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("authenticity: empty database")
 	}
@@ -51,43 +61,36 @@ func Build(db *recipedb.DB, opts Options) (*Matrix, error) {
 	if len(kinds) == 0 {
 		kinds = []itemset.Kind{itemset.Ingredient}
 	}
-	wantKind := make(map[itemset.Kind]bool, len(kinds))
-	for _, k := range kinds {
-		wantKind[k] = true
-	}
 
+	// Per-region item counts: counts[id*nr+row] recipes of region row
+	// contain item id.
 	regions := db.Regions()
-	rowOf := make(map[string]int, len(regions))
-	for i, r := range regions {
-		rowOf[r] = i
-	}
-
-	// First pass: per-region item counts.
-	counts := make(map[itemset.Item][]int)
-	for i := 0; i < db.Len(); i++ {
-		rec := db.Recipe(i)
-		row := rowOf[rec.Region]
-		for _, it := range rec.Items().Items() {
-			if !wantKind[it.Kind] {
-				continue
+	nr := len(regions)
+	sizes := make([]int, nr)
+	table := cols.Items()
+	counts := make([]int32, len(table)*nr)
+	for row, region := range regions {
+		recipes := db.RegionIndexes(region)
+		sizes[row] = len(recipes)
+		for _, j := range recipes {
+			for _, id := range cols.Recipe(j) {
+				counts[int(id)*nr+row]++
 			}
-			c := counts[it]
-			if c == nil {
-				c = make([]int, len(regions))
-				counts[it] = c
-			}
-			c[row]++
 		}
 	}
 
-	// Column selection and ordering.
-	var items []itemset.Item
-	for it, c := range counts {
+	// Column selection in table order: every item of a wanted kind (each
+	// occurs in some recipe), less those whose prevalence never reaches
+	// the floor.
+	var picked []int // table ids of the columns
+	for id, it := range table {
+		if !slices.Contains(kinds, it.Kind) {
+			continue
+		}
 		if opts.MinRegionPrevalence > 0 {
 			keep := false
-			for row, n := range c {
-				size := db.RegionSize(regions[row])
-				if size > 0 && float64(n)/float64(size) >= opts.MinRegionPrevalence {
+			for row, n := range counts[id*nr : (id+1)*nr] {
+				if sizes[row] > 0 && float64(n)/float64(sizes[row]) >= opts.MinRegionPrevalence {
 					keep = true
 					break
 				}
@@ -96,17 +99,16 @@ func Build(db *recipedb.DB, opts Options) (*Matrix, error) {
 				continue
 			}
 		}
-		items = append(items, it)
+		picked = append(picked, id)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].Less(items[j]) })
 
-	prev := matrix.NewDense(len(regions), len(items))
-	for col, it := range items {
-		c := counts[it]
-		for row := range regions {
-			size := db.RegionSize(regions[row])
-			if size > 0 {
-				prev.Set(row, col, float64(c[row])/float64(size))
+	var items []itemset.Item
+	prev := matrix.NewDense(nr, len(picked))
+	for col, id := range picked {
+		items = append(items, table[id])
+		for row, n := range counts[id*nr : (id+1)*nr] {
+			if sizes[row] > 0 {
+				prev.Set(row, col, float64(n)/float64(sizes[row]))
 			}
 		}
 	}

@@ -257,7 +257,8 @@ func BuildFiguresWorkers(db *recipedb.DB, minSupport float64, method hac.Method,
 	if minSupport <= 0 {
 		minSupport = DefaultMinSupport
 	}
-	mined, err := MineRegionsWorkers(db, minSupport, workers)
+	cols := db.Columns() // shared by the mining and authenticity pipelines
+	mined, err := MineColumns(cols, minSupport, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +286,7 @@ func BuildFiguresWorkers(db *recipedb.DB, minSupport float64, method hac.Method,
 			return err
 		},
 		func() (err error) {
-			am, err := authenticity.Build(db, authenticity.Options{MinRegionPrevalence: AuthMinRegionPrevalence})
+			am, err := authenticity.BuildColumns(cols, authenticity.Options{MinRegionPrevalence: AuthMinRegionPrevalence})
 			if err != nil {
 				return err
 			}

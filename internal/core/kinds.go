@@ -48,8 +48,9 @@ func AnalyzeKindInfluence(db *recipedb.DB, method hac.Method) ([]KindInfluence, 
 		tree  *hac.Tree
 	}
 	var kts []kindTree
+	cols := db.Columns()
 	for _, kind := range itemset.Kinds() {
-		am, err := authenticity.Build(db, authenticity.Options{
+		am, err := authenticity.BuildColumns(cols, authenticity.Options{
 			Kinds:               []itemset.Kind{kind},
 			MinRegionPrevalence: 0.03,
 		})

@@ -47,12 +47,20 @@ func MineRegionsWorkers(db *recipedb.DB, minSupport float64, workers int) ([]Reg
 }
 
 // MineRegionsWith is MineRegionsWorkers with an explicit mining backend
-// (nil means miner.Default). Each region's transactions are indexed
-// into the shared vertical bitset representation exactly once, then
-// handed to the selected backend. All backends produce byte-identical
-// pattern sets (see internal/miner), so — like workers — the backend
-// changes how fast the answer arrives, never the answer.
+// (nil means miner.Default), over a column view built for this call.
 func MineRegionsWith(db *recipedb.DB, minSupport float64, workers int, m miner.Miner) ([]RegionPatterns, error) {
+	return MineColumns(db.Columns(), minSupport, workers, m)
+}
+
+// MineColumns is MineRegionsWith over a prebuilt column view, so a run
+// that also needs the view elsewhere (authenticity) builds it once.
+// Each region's transactions are indexed into the shared vertical
+// bitset representation exactly once, then handed to the backend. All
+// backends produce byte-identical pattern sets (see internal/miner), so
+// — like workers — the backend changes how fast the answer arrives,
+// never the answer.
+func MineColumns(cols *recipedb.Columns, minSupport float64, workers int, m miner.Miner) ([]RegionPatterns, error) {
+	db := cols.DB()
 	if db.Len() == 0 {
 		return nil, fmt.Errorf("core: empty database")
 	}
@@ -64,14 +72,49 @@ func MineRegionsWith(db *recipedb.DB, minSupport float64, workers int, m miner.M
 	}
 	regions := db.Regions()
 	out := parallel.Map(len(regions), workers, func(i int) RegionPatterns {
-		ds := db.RegionDataset(regions[i])
+		recipes := db.RegionIndexes(regions[i])
 		return RegionPatterns{
 			Region:   regions[i],
-			Recipes:  ds.Len(),
-			Patterns: m.Mine(itemset.NewIndex(ds), minSupport),
+			Recipes:  len(recipes),
+			Patterns: m.Mine(regionIndex(cols, recipes), minSupport),
 		}
 	})
 	return out, nil
+}
+
+// regionIndex builds the vertical index of the given recipes straight
+// from their column ids. Region-local ids are assigned in table order,
+// so they stay canonical without a map or a sort.
+func regionIndex(cols *recipedb.Columns, recipes []int) *itemset.Index {
+	table := cols.Items()
+	local := make([]int32, len(table)) // table id -> count, then local id
+	total := 0
+	for _, j := range recipes {
+		ids := cols.Recipe(j)
+		for _, id := range ids {
+			local[id]++
+		}
+		total += len(ids)
+	}
+	var items []itemset.Item
+	for id, c := range local {
+		if c > 0 {
+			local[id] = int32(len(items))
+			items = append(items, table[id])
+		}
+	}
+	arena := make([]int32, total)
+	txns := make([][]int32, len(recipes))
+	for t, j := range recipes {
+		ids := cols.Recipe(j)
+		dst := arena[:len(ids):len(ids)]
+		arena = arena[len(ids):]
+		for k, id := range ids {
+			dst[k] = local[id]
+		}
+		txns[t] = dst
+	}
+	return itemset.NewIndexIDs(items, txns, itemset.DefaultIndexMode)
 }
 
 // PatternSets flattens mining results into parallel slices for the

@@ -67,7 +67,8 @@ func BootstrapClaimsWorkers(db *recipedb.DB, minSupport float64, iters int, seed
 			return nil, err
 		}
 		// Euclidean pattern tree.
-		mined, err := MineRegionsWorkers(boot, minSupport, workers)
+		cols := boot.Columns()
+		mined, err := MineColumns(cols, minSupport, workers, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +82,7 @@ func BootstrapClaimsWorkers(db *recipedb.DB, minSupport float64, iters int, seed
 			return nil, err
 		}
 		// Authenticity tree.
-		am, err := authenticity.Build(boot, authenticity.Options{MinRegionPrevalence: AuthMinRegionPrevalence})
+		am, err := authenticity.BuildColumns(cols, authenticity.Options{MinRegionPrevalence: AuthMinRegionPrevalence})
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	for i := 0; i < a.Len(); i++ {
 		ra, rb := a.Recipe(i), b.Recipe(i)
-		if ra.ID != rb.ID || !ra.Items().Equal(rb.Items()) {
+		if !reflect.DeepEqual(ra, rb) {
 			t.Fatalf("recipe %d differs between runs", i)
 		}
 	}
@@ -87,7 +87,7 @@ func TestGenerateRegionIndependence(t *testing.T) {
 		t.Fatalf("region sizes differ: %d vs %d", len(soloThai), len(bothThai))
 	}
 	for i := range soloThai {
-		if soloThai[i].ID != bothThai[i].ID || !soloThai[i].Items().Equal(bothThai[i].Items()) {
+		if !reflect.DeepEqual(soloThai[i], bothThai[i]) {
 			t.Fatalf("Thai recipe %d differs with/without Greek present", i)
 		}
 	}

@@ -177,6 +177,8 @@ type regionGen struct {
 
 	rareBase   int // first rare-ingredient index for this region
 	sharedBase int // first shared rare-ingredient index
+
+	seen map[ItemRef]bool // recipe's scratch de-duplication set, cleared per recipe
 }
 
 func newRegionGen(p *Profile, regionIdx int) *regionGen {
@@ -185,6 +187,7 @@ func newRegionGen(p *Profile, regionIdx int) *regionGen {
 		slug:       slugify(p.Region),
 		rareBase:   regionIdx * rareIngredientsPerRegion,
 		sharedBase: len(profiles) * rareIngredientsPerRegion,
+		seen:       make(map[ItemRef]bool, 48),
 	}
 	g.bundles = append(append([]Bundle(nil), p.Bundles...), regionBoost(regionIdx, p.Boost)...)
 	g.buildUniversals()
@@ -371,10 +374,12 @@ func universalSum(items []ItemProb) float64 {
 	return s
 }
 
-// recipe generates the i-th recipe of the region.
+// recipe generates the i-th recipe of the region. It reuses g's scratch
+// set, so one regionGen serves one goroutine.
 func (g *regionGen) recipe(r *rng.RNG, i int) recipedb.Recipe {
 	var ings, procs, utes []string
-	seen := make(map[ItemRef]bool, 48)
+	seen := g.seen
+	clear(seen)
 	include := func(it ItemRef) {
 		if seen[it] {
 			return

@@ -29,14 +29,13 @@ import (
 // are canonically sorted. The Index is immutable after construction and
 // safe for concurrent readers.
 type Index struct {
-	items []Item         // id -> item, canonically sorted
-	idOf  map[Item]int32 // item -> id
-	bits  [][]uint64     // id -> dense bitmap (words slices of one arena); dense mode only
-	bms   []Bitmap       // id -> bitmap view (both modes)
-	count []int          // id -> popcount of the item's bitmap
-	txns  [][]int32      // transaction -> ascending item ids (slices of one arena)
-	words int            // words per dense bitmap
-	mode  IndexMode      // resolved ModeDense or ModeChunked
+	items []Item     // id -> item, canonically sorted
+	bits  [][]uint64 // id -> dense bitmap (words slices of one arena); dense mode only
+	bms   []Bitmap   // id -> bitmap view (both modes)
+	count []int      // id -> popcount of the item's bitmap
+	txns  [][]int32  // transaction -> ascending item ids
+	words int        // words per dense bitmap
+	mode  IndexMode  // resolved ModeDense or ModeChunked
 }
 
 // IndexMode selects the bitmap layout of an Index.
@@ -97,60 +96,77 @@ func NewIndex(d *Dataset) *Index {
 	return NewIndexMode(d, DefaultIndexMode)
 }
 
-// NewIndexMode is NewIndex with an explicit bitmap layout.
+// NewIndexMode is NewIndex with an explicit bitmap layout. It interns
+// the dataset's items in canonical order and hands the id lists to
+// NewIndexIDs.
 func NewIndexMode(d *Dataset, mode IndexMode) *Index {
-	n := d.Len()
-	ix := &Index{words: (n + 63) / 64}
-
 	counts := d.ItemCounts()
-	ix.items = make([]Item, 0, len(counts))
+	items := make([]Item, 0, len(counts))
 	totalBits := 0
 	for it, c := range counts {
-		ix.items = append(ix.items, it)
+		items = append(items, it)
 		totalBits += c
 	}
-	sort.Slice(ix.items, func(i, j int) bool { return ix.items[i].Less(ix.items[j]) })
-	ix.idOf = make(map[Item]int32, len(ix.items))
-	for i, it := range ix.items {
-		ix.idOf[it] = int32(i)
+	sort.Slice(items, func(i, j int) bool { return items[i].Less(items[j]) })
+	idOf := make(map[Item]int32, len(items))
+	for i, it := range items {
+		idOf[it] = int32(i)
 	}
-
-	ix.mode = mode
-	if ix.mode == ModeAuto {
-		ix.mode = autoMode(totalBits, len(ix.items), n)
-	}
-
-	ix.count = make([]int, len(ix.items))
-	ix.bms = make([]Bitmap, len(ix.items))
-	ix.txns = make([][]int32, n)
 
 	// One backing arena serves every per-transaction id slice: the
 	// horizontal projection costs two allocations total instead of one
 	// per transaction.
-	txnArena := make([]int32, totalBits)
+	arena := make([]int32, totalBits)
+	txns := make([][]int32, d.Len())
+	for tid, t := range d.Transactions() {
+		set := t.Items.Items()
+		if len(set) == 0 {
+			continue
+		}
+		ids := arena[:len(set):len(set)]
+		arena = arena[len(set):]
+		for k, it := range set { // canonical set order => ascending ids
+			ids[k] = idOf[it]
+		}
+		txns[tid] = ids
+	}
+	return NewIndexIDs(items, txns, mode)
+}
 
+// NewIndexIDs builds the index of len(txns) transactions over items,
+// which must be distinct and sorted by Item.Less. txns[t] lists
+// transaction t's item ids (positions in items), strictly ascending.
+// The index takes ownership of both slices: txns becomes its horizontal
+// projection (Txns).
+func NewIndexIDs(items []Item, txns [][]int32, mode IndexMode) *Index {
+	n := len(txns)
+	ix := &Index{items: items, txns: txns, words: (n + 63) / 64}
+	ix.count = make([]int, len(items))
+	totalBits := 0
+	for _, ids := range txns {
+		for _, id := range ids {
+			ix.count[id]++
+		}
+		totalBits += len(ids)
+	}
+
+	ix.mode = mode
+	if ix.mode == ModeAuto {
+		ix.mode = autoMode(totalBits, len(items), n)
+	}
+	ix.bms = make([]Bitmap, len(items))
 	switch ix.mode {
 	case ModeDense:
-		arena := make([]uint64, len(ix.items)*ix.words)
-		ix.bits = make([][]uint64, len(ix.items))
+		arena := make([]uint64, len(items)*ix.words)
+		ix.bits = make([][]uint64, len(items))
 		for i := range ix.bits {
 			ix.bits[i] = arena[i*ix.words : (i+1)*ix.words]
 			ix.bms[i] = Bitmap{n: n, dense: ix.bits[i]}
 		}
-		for tid, t := range d.Transactions() {
-			items := t.Items.Items()
-			if len(items) == 0 {
-				continue
-			}
-			ids := txnArena[:len(items):len(items)]
-			txnArena = txnArena[len(items):]
-			for k, it := range items { // canonical set order => ascending ids
-				id := ix.idOf[it]
-				ids[k] = id
+		for tid, ids := range txns {
+			for _, id := range ids {
 				ix.bits[id][tid>>6] |= 1 << (uint(tid) & 63)
-				ix.count[id]++
 			}
-			ix.txns[tid] = ids
 		}
 
 	case ModeChunked:
@@ -158,29 +174,19 @@ func NewIndexMode(d *Dataset, mode IndexMode) *Index {
 		// window starts at the prefix sum of the preceding items' counts
 		// and is at most its total population.
 		arrArena := make([]uint16, totalBits)
-		offsets := make([]int32, len(ix.items)+1)
-		for i, it := range ix.items {
-			offsets[i+1] = offsets[i] + int32(counts[it])
+		offsets := make([]int32, len(items)+1)
+		for i, c := range ix.count {
+			offsets[i+1] = offsets[i] + int32(c)
 		}
-		used := make([]int32, len(ix.items))
+		used := make([]int32, len(items))
 		for i := range ix.bms {
 			ix.bms[i].n = n
 		}
-		for tid, t := range d.Transactions() {
-			items := t.Items.Items()
-			if len(items) == 0 {
-				continue
-			}
-			ids := txnArena[:len(items):len(items)]
-			txnArena = txnArena[len(items):]
-			for k, it := range items {
-				id := ix.idOf[it]
-				ids[k] = id
+		for tid, ids := range txns {
+			for _, id := range ids {
 				window := arrArena[offsets[id]:offsets[id+1]]
 				used[id] = int32(ix.bms[id].setAscending(tid, window, int(used[id])))
-				ix.count[id]++
 			}
-			ix.txns[tid] = ids
 		}
 	}
 	return ix

@@ -8,14 +8,16 @@ import (
 	"sync"
 	"testing"
 
+	"cuisines/internal/authenticity"
 	"cuisines/internal/core"
 	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
 )
 
-// Fuzz targets for the flat body decoders. They call decodeCorpus,
-// decodeMine, decodeMatrices and decodeCondensed directly, skipping the CFL1 CRC and the
-// store's sha256 the way a hostile peer or a planted .art file would:
+// Fuzz targets for the artifact body decoders. They call decodeCorpus,
+// decodeMine, decodeMatrices, decodeCondensed and authCodec's gob
+// decoder directly, skipping the CFL1 CRC and the store's sha256 the
+// way a hostile peer or a planted .art file would:
 // anyone can compute those checksums, so the decoders themselves must
 // return an error — never panic, never allocate past the input's size —
 // on any body. A body that does decode must reach a fixed point: its
@@ -25,6 +27,7 @@ import (
 
 // fuzzSeedBodies holds real artifact bodies at a small scale (two
 // regions, the 30-recipe generator floor each) so mutations stay cheap.
+// The auth body is its gob stream.
 var fuzzSeedBodies = sync.OnceValues(func() (map[string][]byte, error) {
 	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.001, Regions: []string{"French", "Japanese"}})
 	if err != nil {
@@ -51,6 +54,15 @@ var fuzzSeedBodies = sync.OnceValues(func() (map[string][]byte, error) {
 		}
 		out[kind] = body
 	}
+	am, err := authenticity.Build(db, authenticity.Options{MinRegionPrevalence: core.AuthMinRegionPrevalence})
+	if err != nil {
+		return nil, err
+	}
+	var auth bytes.Buffer
+	if err := authCodec.Encode(&auth, am); err != nil {
+		return nil, err
+	}
+	out["auth"] = auth.Bytes()
 	return out, nil
 })
 
@@ -162,4 +174,32 @@ func FuzzDecodeMatrices(f *testing.F) {
 // count times eight is past the int64 range.
 func FuzzDecodeCondensed(f *testing.F) {
 	fuzzDecoder(f, "pdist", decodeCondensed, binary.LittleEndian.AppendUint64(nil, math.MaxInt32))
+}
+
+// FuzzDecodeAuth covers the auth artifact, still a gob stream until it
+// moves to a flat codec: bodies go through authCodec's decoder, and an
+// accepted body must re-encode to a fixed point.
+func FuzzDecodeAuth(f *testing.F) {
+	f.Add(seedBody(f, "auth"))
+	encode := func(t *testing.T, v any) []byte {
+		var b bytes.Buffer
+		if err := authCodec.Encode(&b, v); err != nil {
+			t.Fatalf("re-encoding a decoded auth: %v", err)
+		}
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		v, err := authCodec.Decode(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		once := encode(t, v)
+		v2, err := authCodec.Decode(bytes.NewReader(once))
+		if err != nil {
+			t.Fatalf("decoding a re-encoded auth: %v", err)
+		}
+		if twice := encode(t, v2); !bytes.Equal(once, twice) {
+			t.Fatal("auth re-encoding is not a fixed point")
+		}
+	})
 }

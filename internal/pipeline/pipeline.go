@@ -35,6 +35,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 
 	"cuisines/internal/artifact"
 	"cuisines/internal/authenticity"
@@ -138,12 +139,18 @@ func withDefaults(pr Params) Params {
 // outer fan-out and each chain's inner pdist / k-sweep, so total
 // concurrency stays bounded by Workers rather than multiplying.
 func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey string, pr Params) (*Result, error) {
+	// The mine and auth stages both read the corpus as canonical item
+	// ids. The view is built at most once per run, by whichever of them
+	// computes first, and never when both resolve from a cache; it dies
+	// with the run rather than being kept on the DB (DESIGN.md §9).
+	cols := sync.OnceValue(db.Columns)
+
 	// The mine stage runs miner.Default. No backend name enters the
 	// key: every backend emits byte-identical pattern sets
 	// (internal/miner), so changing the default keeps warm stores valid.
 	mineKey := artifact.Key("mine", corpusKey, fmt.Sprintf("support=%g", pr.MinSupport))
 	mined, err := stage(ctx, p.store, mineKey, mineCodec, func() ([]core.RegionPatterns, error) {
-		return core.MineRegionsWorkers(db, pr.MinSupport, pr.Workers)
+		return core.MineColumns(cols(), pr.MinSupport, pr.Workers, nil)
 	})
 	if err != nil {
 		return nil, err
@@ -215,7 +222,7 @@ func (p *Pipeline) runFrom(ctx context.Context, db *recipedb.DB, corpusKey strin
 		},
 		func() (err error) {
 			am, err := stage(ctx, p.store, authKey, authCodec, func() (*authenticity.Matrix, error) {
-				return authenticity.Build(db, authenticity.Options{MinRegionPrevalence: core.AuthMinRegionPrevalence})
+				return authenticity.BuildColumns(cols(), authenticity.Options{MinRegionPrevalence: core.AuthMinRegionPrevalence})
 			})
 			if err != nil {
 				return err

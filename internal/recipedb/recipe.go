@@ -33,27 +33,6 @@ type Recipe struct {
 	Utensils    []string
 }
 
-// Items flattens the recipe into a canonical itemset spanning all three
-// kinds (the paper concatenates them before mining, Sec. V.A).
-func (r *Recipe) Items() itemset.Set {
-	items := make([]itemset.Item, 0, len(r.Ingredients)+len(r.Processes)+len(r.Utensils))
-	for _, n := range r.Ingredients {
-		items = append(items, itemset.NewItem(n, itemset.Ingredient))
-	}
-	for _, n := range r.Processes {
-		items = append(items, itemset.NewItem(n, itemset.Process))
-	}
-	for _, n := range r.Utensils {
-		items = append(items, itemset.NewItem(n, itemset.Utensil))
-	}
-	return itemset.NewSet(items...)
-}
-
-// Transaction converts the recipe to a mining transaction.
-func (r *Recipe) Transaction() itemset.Transaction {
-	return itemset.Transaction{ID: r.ID, Items: r.Items()}
-}
-
 // IngredientSet returns the canonical set of ingredient items only (used
 // by the authenticity pipeline, which Fig. 5 bases "dominantly on
 // ingredients").
@@ -151,22 +130,30 @@ func (db *DB) RegionRecipes(region string) []*Recipe {
 	return out
 }
 
+// RegionIndexes returns the positions (for Recipe) of one region's
+// recipes, ascending. The slice is shared DB state; do not modify.
+func (db *DB) RegionIndexes(region string) []int { return db.byRegion[region] }
+
 // RegionDataset converts one region's recipes to a mining dataset — the
-// per-cuisine FP-Growth input of Sec. V.A.
+// per-cuisine FP-Growth input of Sec. V.A. Each transaction's set is a
+// slice of one item arena, read off the region's column view.
 func (db *DB) RegionDataset(region string) *itemset.Dataset {
 	idx := db.byRegion[region]
-	txns := make([]itemset.Transaction, 0, len(idx))
-	for _, j := range idx {
-		txns = append(txns, db.recipes[j].Transaction())
+	c := db.columns(len(idx), func(i int) *Recipe { return &db.recipes[idx[i]] })
+	items := make([]itemset.Item, len(c.ids))
+	for k, id := range c.ids {
+		items[k] = c.items[id]
 	}
-	return itemset.NewDataset(txns)
-}
-
-// AllDataset converts the whole DB to one dataset.
-func (db *DB) AllDataset() *itemset.Dataset {
-	txns := make([]itemset.Transaction, 0, len(db.recipes))
-	for i := range db.recipes {
-		txns = append(txns, db.recipes[i].Transaction())
+	txns := make([]itemset.Transaction, len(idx))
+	start := 0
+	for i, j := range idx {
+		end := c.ends[i]
+		set, err := itemset.SetFromSorted(items[start:end:end])
+		if err != nil {
+			panic(err) // unreachable: view ids ascend and the table is canonical
+		}
+		txns[i] = itemset.Transaction{ID: db.recipes[j].ID, Items: set}
+		start = end
 	}
 	return itemset.NewDataset(txns)
 }

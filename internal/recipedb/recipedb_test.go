@@ -75,7 +75,12 @@ func TestNewRejectsDuplicateIDs(t *testing.T) {
 
 func TestItemsSpanKinds(t *testing.T) {
 	db := mustDB(t, sampleRecipes())
-	s := db.Recipe(0).Items()
+	c := db.Columns()
+	var items []itemset.Item
+	for _, id := range c.Recipe(0) {
+		items = append(items, c.Items()[id])
+	}
+	s := itemset.NewSet(items...)
 	if s.OfKind(itemset.Ingredient).Len() != 3 ||
 		s.OfKind(itemset.Process).Len() != 2 ||
 		s.OfKind(itemset.Utensil).Len() != 1 {
@@ -93,8 +98,8 @@ func TestRegionDataset(t *testing.T) {
 	if d.Support(boil) != 1.0 {
 		t.Fatalf("support(boil) = %v", d.Support(boil))
 	}
-	if db.AllDataset().Len() != 3 {
-		t.Fatal("AllDataset wrong size")
+	if db.Columns().Len() != 3 {
+		t.Fatal("Columns wrong size")
 	}
 	if db.RegionDataset("Atlantis").Len() != 0 {
 		t.Fatal("unknown region dataset not empty")
