@@ -1,6 +1,6 @@
 package corpus
 
-import "fmt"
+import "strconv"
 
 // This file holds the shared vocabulary: the universal item tables present
 // in (almost) every cuisine, the macro-region pantry pools that drive the
@@ -165,16 +165,28 @@ var tailOrigins = []string{
 // Names are deterministic, human-plausible, and unique for i up to
 // len(descriptors)*len(origins)*len(bases) (25*24*35 = 21,000), matching
 // the 20,280-unique-ingredient scale of Sec. III.
-func TailIngredientName(i int) string {
+func TailIngredientName(i int) string { return string(appendTailIngredientName(nil, i)) }
+
+func appendTailIngredientName(dst []byte, i int) []byte {
 	d := tailDescriptors[i%len(tailDescriptors)]
 	rest := i / len(tailDescriptors)
 	o := tailOrigins[rest%len(tailOrigins)]
 	b := tailBases[(rest/len(tailOrigins))%len(tailBases)]
-	n := i / (len(tailDescriptors) * len(tailOrigins) * len(tailBases))
+	dst = append(dst, d...)
+	dst = append(dst, ' ')
+	dst = append(dst, o...)
+	dst = append(dst, ' ')
+	dst = append(dst, b...)
+	return appendCycle(dst, i/(len(tailDescriptors)*len(tailOrigins)*len(tailBases)))
+}
+
+// appendCycle appends " n" to a name from the n-th pass over its
+// combinations; names from the first pass carry no number.
+func appendCycle(dst []byte, n int) []byte {
 	if n == 0 {
-		return fmt.Sprintf("%s %s %s", d, o, b)
+		return dst
 	}
-	return fmt.Sprintf("%s %s %s %d", d, o, b, n)
+	return strconv.AppendInt(append(dst, ' '), int64(n), 10)
 }
 
 var tailProcessStems = []string{
@@ -192,14 +204,14 @@ var tailProcessMods = []string{
 // TailProcessName returns the i-th synthetic long-tail process name
 // (30*12 = 360 unique combinations; the corpus uses ~220 beyond the
 // universal and regional tables, landing near the paper's 268).
-func TailProcessName(i int) string {
+func TailProcessName(i int) string { return string(appendTailProcessName(nil, i)) }
+
+func appendTailProcessName(dst []byte, i int) []byte {
 	stem := tailProcessStems[i%len(tailProcessStems)]
 	mod := tailProcessMods[(i/len(tailProcessStems))%len(tailProcessMods)]
-	n := i / (len(tailProcessStems) * len(tailProcessMods))
-	if n == 0 {
-		return mod + stem
-	}
-	return fmt.Sprintf("%s%s %d", mod, stem, n)
+	dst = append(dst, mod...)
+	dst = append(dst, stem...)
+	return appendCycle(dst, i/(len(tailProcessStems)*len(tailProcessMods)))
 }
 
 var tailUtensilBases = []string{
@@ -214,12 +226,12 @@ var tailUtensilMods = []string{"", "copper ", "cast-iron ", "bamboo ", "stone ",
 // TailUtensilName returns the i-th synthetic long-tail utensil name
 // (27*6 = 162 combinations; the corpus uses ~50 beyond the universal and
 // regional tables, landing near the paper's 69).
-func TailUtensilName(i int) string {
+func TailUtensilName(i int) string { return string(appendTailUtensilName(nil, i)) }
+
+func appendTailUtensilName(dst []byte, i int) []byte {
 	base := tailUtensilBases[i%len(tailUtensilBases)]
 	mod := tailUtensilMods[(i/len(tailUtensilBases))%len(tailUtensilMods)]
-	n := i / (len(tailUtensilBases) * len(tailUtensilMods))
-	if n == 0 {
-		return mod + base
-	}
-	return fmt.Sprintf("%s%s %d", mod, base, n)
+	dst = append(dst, mod...)
+	dst = append(dst, base...)
+	return appendCycle(dst, i/(len(tailUtensilBases)*len(tailUtensilMods)))
 }

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 
 	"cuisines/internal/artifact"
 	"cuisines/internal/core"
+	"cuisines/internal/corpus"
 	"cuisines/internal/distance"
 	"cuisines/internal/recipedb"
 )
@@ -287,5 +290,29 @@ func TestFlatVersionBumpWarmRestart(t *testing.T) {
 	}
 	if st := s3.Stats()["mine"]; st.DiskHits != 1 {
 		t.Errorf("flat warm-disk load not counted as disk hit: %+v", st)
+	}
+}
+
+// TestCorpusArtifactGolden pins the corpus artifact body a cold run
+// writes: the generated corpus and its flat encoding together. Disk and
+// peer caches key the artifact by (seed, scale) and codec version, so
+// new bytes under the same version would be served beside the old ones.
+func TestCorpusArtifactGolden(t *testing.T) {
+	const wantVersion = 2
+	const want = "d24f3fe567d4f16ba5bad779a0a22a1754739d5715eaed6f996ac27684ea3254"
+	if corpusCodec.version != wantVersion {
+		t.Fatalf("corpus codec version %d, want %d", corpusCodec.version, wantVersion)
+	}
+	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := appendCorpus(nil, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(body)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("corpus artifact body digest %s, want %s", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -15,19 +16,19 @@ import (
 )
 
 // Fuzz targets for the artifact body decoders. They call decodeCorpus,
-// decodeMine, decodeMatrices, decodeCondensed and authCodec's gob
-// decoder directly, skipping the CFL1 CRC and the store's sha256 the
-// way a hostile peer or a planted .art file would:
-// anyone can compute those checksums, so the decoders themselves must
+// decodeMine, decodeMatrices, decodeCondensed and the gob decoders of
+// the auth, tree, elbow and validate codecs directly, skipping the CFL1
+// CRC and the store's sha256 the way a hostile peer or a planted .art
+// file would: anyone can compute those checksums, so the decoders must
 // return an error — never panic, never allocate past the input's size —
 // on any body. A body that does decode must reach a fixed point: its
 // re-encoding decodes and re-encodes to the same bytes.
 //
 //	go test -run='^$' -fuzz='^FuzzDecodeCorpus$' -fuzztime=15s ./internal/pipeline
 
-// fuzzSeedBodies holds real artifact bodies at a small scale (two
+// fuzzSeedBodies holds real artifact bodies at a small scale (mostly two
 // regions, the 30-recipe generator floor each) so mutations stay cheap.
-// The auth body is its gob stream.
+// Gob kinds hold their gob stream.
 var fuzzSeedBodies = sync.OnceValues(func() (map[string][]byte, error) {
 	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.001, Regions: []string{"French", "Japanese"}})
 	if err != nil {
@@ -58,11 +59,25 @@ var fuzzSeedBodies = sync.OnceValues(func() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var auth bytes.Buffer
-	if err := authCodec.Encode(&auth, am); err != nil {
+	// The tree, elbow and validate bodies come from a whole run at the
+	// generator floor over all 26 regions: validation's claims name
+	// regions a two-region corpus lacks.
+	res, err := New(nil).Run(context.Background(), Params{Scale: 0.0001, Workers: 1})
+	if err != nil {
 		return nil, err
 	}
-	out["auth"] = auth.Bytes()
+	for kind, v := range map[string]any{
+		"auth":     am,
+		"tree":     res.Figures.Cosine,
+		"elbow":    res.Figures.Elbow,
+		"validate": res.Validation,
+	} {
+		var body bytes.Buffer
+		if err := Codecs()[kind].Encode(&body, v); err != nil {
+			return nil, err
+		}
+		out[kind] = body.Bytes()
+	}
 	return out, nil
 })
 
@@ -176,30 +191,49 @@ func FuzzDecodeCondensed(f *testing.F) {
 	fuzzDecoder(f, "pdist", decodeCondensed, binary.LittleEndian.AppendUint64(nil, math.MaxInt32))
 }
 
-// FuzzDecodeAuth covers the auth artifact, still a gob stream until it
-// moves to a flat codec: bodies go through authCodec's decoder, and an
-// accepted body must re-encode to a fixed point.
-func FuzzDecodeAuth(f *testing.F) {
-	f.Add(seedBody(f, "auth"))
+// fuzzGobDecoder fuzzes a gob artifact codec, until its artifact moves to
+// a flat codec: bodies go through the codec's decoder, and an accepted
+// body must re-encode to a fixed point.
+func fuzzGobDecoder(f *testing.F, kind string) {
+	f.Add(seedBody(f, kind))
+	codec := Codecs()[kind]
 	encode := func(t *testing.T, v any) []byte {
 		var b bytes.Buffer
-		if err := authCodec.Encode(&b, v); err != nil {
-			t.Fatalf("re-encoding a decoded auth: %v", err)
+		if err := codec.Encode(&b, v); err != nil {
+			t.Fatalf("re-encoding a decoded %s: %v", kind, err)
 		}
 		return b.Bytes()
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		v, err := authCodec.Decode(bytes.NewReader(body))
+		v, err := codec.Decode(bytes.NewReader(body))
 		if err != nil {
 			return
 		}
 		once := encode(t, v)
-		v2, err := authCodec.Decode(bytes.NewReader(once))
+		v2, err := codec.Decode(bytes.NewReader(once))
 		if err != nil {
-			t.Fatalf("decoding a re-encoded auth: %v", err)
+			t.Fatalf("decoding a re-encoded %s: %v", kind, err)
 		}
 		if twice := encode(t, v2); !bytes.Equal(once, twice) {
-			t.Fatal("auth re-encoding is not a fixed point")
+			t.Fatalf("%s re-encoding is not a fixed point", kind)
 		}
 	})
+}
+
+func FuzzDecodeAuth(f *testing.F) {
+	fuzzGobDecoder(f, "auth")
+}
+
+// FuzzDecodeTree covers every tree artifact (the four figure trees and
+// the geographic one share a codec).
+func FuzzDecodeTree(f *testing.F) {
+	fuzzGobDecoder(f, "tree")
+}
+
+func FuzzDecodeElbow(f *testing.F) {
+	fuzzGobDecoder(f, "elbow")
+}
+
+func FuzzDecodeValidate(f *testing.F) {
+	fuzzGobDecoder(f, "validate")
 }
