@@ -23,12 +23,12 @@
 //	curl localhost:8372/metrics
 //
 // Requests may select a different analysis with seed=, scale=, support=
-// and linkage= query parameters; each distinct combination is computed
-// once and kept in an LRU cache. Underneath
-// it, the staged pipeline caches per-stage artifacts, so analyses
-// that share a corpus and mining run (different linkage, different
-// figure) share that work; with -cache-dir the artifacts persist
-// across restarts.
+// and linkage= query parameters (scale in (0, 4], support in [0.1, 1]);
+// each distinct combination is computed once and kept in an LRU cache.
+// Underneath it, the staged pipeline caches per-stage artifacts, so
+// analyses that share a corpus and mining run (different linkage,
+// different figure) share that work; with -cache-dir the artifacts
+// persist across restarts.
 //
 // Clustering: with -self and -peers every node joins a consistent-hash
 // ring (see DESIGN.md §13). Requests are proxied to the analysis key's

@@ -6,8 +6,7 @@
 // pattern sets). Candidate counting runs against the shared bitmap index
 // of internal/itemset: each candidate's support is the cardinality of
 // the intersection of its members' transaction bitmaps (word-wise ANDs
-// in dense layout, container intersections in chunked layout), replacing
-// the classic per-transaction subset scan.
+// over []uint64), replacing the classic per-transaction subset scan.
 //
 // The join/prune bookkeeping — candidate id storage, subset probe
 // buffer, key buffer and the frequent-set membership map — is recycled

@@ -114,7 +114,7 @@ func regionIndex(cols *recipedb.Columns, recipes []int) *itemset.Index {
 		}
 		txns[t] = dst
 	}
-	return itemset.NewIndexIDs(items, txns, itemset.DefaultIndexMode)
+	return itemset.NewIndexIDs(items, txns)
 }
 
 // PatternSets flattens mining results into parallel slices for the

@@ -3,6 +3,7 @@ package itemset
 import (
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -135,6 +136,11 @@ func TestIndexEmptyTransactionsCountTowardSupport(t *testing.T) {
 	}
 }
 
+// TestAndInto checks the intersection kernel on a hand-made pair, then
+// against a brute-force tid-list intersection over universes from a few
+// dozen tids to 200 000 and operand densities from 0.1% to 90%, with one
+// destination buffer recycled across every trial the way the eclat DFS
+// recycles its per-depth buffers.
 func TestAndInto(t *testing.T) {
 	a := []uint64{0b1010, 1 << 63}
 	b := []uint64{0b0110, 1 << 63}
@@ -149,4 +155,144 @@ func TestAndInto(t *testing.T) {
 	if got := AndInto(a, a, b); got != 2 || a[0] != 0b0010 {
 		t.Fatalf("aliased AndInto = %d, a0=%b", got, a[0])
 	}
+
+	r := rand.New(rand.NewSource(20200620))
+	var buf []uint64
+	for _, n := range []int{50, 1000, 1 << 16, 1<<16 + 1, 200_000} {
+		words := (n + 63) / 64
+		if cap(buf) < words {
+			buf = make([]uint64, words)
+		}
+		dst := buf[:words]
+		for _, da := range []float64{0.001, 0.02, 0.2, 0.9} {
+			for _, db := range []float64{0.001, 0.02, 0.2, 0.9} {
+				ta, tb := randomTids(r, n, da), randomTids(r, n, db)
+				want := intersectTids(ta, tb)
+				if got := AndInto(dst, bitmapOf(ta, n), bitmapOf(tb, n)); got != len(want) {
+					t.Fatalf("n=%d da=%g db=%g: AndInto = %d, want %d", n, da, db, got, len(want))
+				}
+				if got := tidsOf(dst); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d da=%g db=%g: intersection bits diverge", n, da, db)
+				}
+			}
+		}
+	}
+
+	// Chained, as the eclat DFS folds a prefix: each level's result is
+	// an operand of the next AND.
+	const n = 150_000
+	want := randomTids(r, n, 0.5)
+	cur := bitmapOf(want, n)
+	for depth, density := range []float64{0.1, 0.04, 0.3, 0.008} {
+		tids := randomTids(r, n, density)
+		want = intersectTids(want, tids)
+		next := make([]uint64, len(cur))
+		if got := AndInto(next, cur, bitmapOf(tids, n)); got != len(want) {
+			t.Fatalf("chain depth %d: count %d, want %d", depth+1, got, len(want))
+		}
+		cur = next
+	}
+	if got := tidsOf(cur); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chained intersection bits diverge: got %d, want %d", len(got), len(want))
+	}
+}
+
+// TestIndexBitShapes builds an index in which one item occurs at exactly
+// the given tids, for runs and strides up to a universe of 2^18
+// transactions, and checks its bitmap, count and support against them.
+func TestIndexBitShapes(t *testing.T) {
+	cases := []struct {
+		name string
+		tids []int
+		n    int
+	}{
+		{"empty", nil, 100},
+		{"single", []int{7}, 100},
+		{"stride-3", seq(0, 100, 3), 1 << 16},
+		{"run-4096", seq(0, 4096, 1), 1 << 16},
+		{"run-4097", seq(0, 4097, 1), 1 << 16},
+		{"run-12288", seq(0, 3*4096, 1), 1 << 16},
+		{"wide-mixed", append(seq(0, 5000, 1), append(seq(1<<16, 10, 1), seq(3<<16, 6000, 1)...)...), 4 << 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Item 1 is in every transaction, item 0 only at tc.tids.
+			txns := make([][]int32, tc.n)
+			for tid := range txns {
+				txns[tid] = []int32{1}
+			}
+			for _, tid := range tc.tids {
+				txns[tid] = []int32{0, 1}
+			}
+			ix := NewIndexIDs([]Item{NewItem("a", Ingredient), NewItem("b", Ingredient)}, txns)
+			if got := ix.Words(); got != (tc.n+63)/64 || len(ix.Bits(0)) != got {
+				t.Fatalf("words = %d, bitmap %d words, want %d", got, len(ix.Bits(0)), (tc.n+63)/64)
+			}
+			if got := tidsOf(ix.Bits(0)); !reflect.DeepEqual(got, tc.tids) {
+				t.Fatalf("bitmap holds %d tids, want %d", len(got), len(tc.tids))
+			}
+			if ix.Count(0) != len(tc.tids) || ix.Count(1) != tc.n {
+				t.Fatalf("counts = %d, %d, want %d, %d", ix.Count(0), ix.Count(1), len(tc.tids), tc.n)
+			}
+			if got := ix.SupportCount([]int32{0, 1}); got != len(tc.tids) {
+				t.Fatalf("SupportCount = %d, want %d", got, len(tc.tids))
+			}
+		})
+	}
+}
+
+func seq(from, count, step int) []int {
+	out := make([]int, count)
+	for i := range out {
+		out[i] = from + i*step
+	}
+	return out
+}
+
+// randomTids draws an ascending, duplicate-free tid sample of the given
+// density from [0, n).
+func randomTids(r *rand.Rand, n int, density float64) []int {
+	var tids []int
+	for tid := 0; tid < n; tid++ {
+		if r.Float64() < density {
+			tids = append(tids, tid)
+		}
+	}
+	return tids
+}
+
+// intersectTids merges two ascending tid lists.
+func intersectTids(a, b []int) []int {
+	var out []int
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			out = append(out, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return out
+}
+
+func bitmapOf(tids []int, n int) []uint64 {
+	words := make([]uint64, (n+63)/64)
+	for _, tid := range tids {
+		words[tid>>6] |= 1 << (tid & 63)
+	}
+	return words
+}
+
+func tidsOf(words []uint64) []int {
+	var out []int
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6+bits.TrailingZeros64(word))
+		}
+	}
+	return out
 }

@@ -3,7 +3,7 @@
 // check at run time (DESIGN.md §11).
 //
 // The engine's load-bearing properties — byte-identical output across
-// worker counts, mining backends and bitmap layouts, and
+// worker counts and mining backends, and
 // content-addressed artifact reuse — are conventions of the code, not
 // of the language. Each analyzer turns one such convention into a
 // build error:

@@ -3,6 +3,7 @@ package miner_test
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -73,11 +74,25 @@ func TestBackendsByteIdenticalOnCorpus(t *testing.T) {
 // TestBackendsAgreeOnRandomDatasets is the cross-miner agreement
 // property test on randomized synthetic datasets: random transaction
 // counts, item universes and support thresholds, not just
-// corpus-derived shapes. Every backend pair must agree exactly
-// (byte-identically, via the same gob framing as the corpus test).
+// corpus-derived shapes, plus fixed density regimes up to 70 000
+// transactions (1094 bitmap words, wider than any corpus region at
+// scale 1). Every backend pair must agree exactly (byte-identically,
+// via the same gob framing as the corpus test).
 func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 	r := rand.New(rand.NewSource(20200426))
 	all := miner.All()
+	agree := func(label string, ix *itemset.Index, sup float64) {
+		t.Helper()
+		ref := all[0].Mine(ix, sup)
+		refBytes := encodePatterns(t, ref)
+		for _, m := range all[1:] {
+			if got := encodePatterns(t, m.Mine(ix, sup)); !bytes.Equal(refBytes, got) {
+				t.Fatalf("%s sup %g: %s disagrees with %s\n%s: %v\n%s: %v",
+					label, sup, m.Name(), all[0].Name(),
+					all[0].Name(), ref, m.Name(), m.Mine(ix, sup))
+			}
+		}
+	}
 	for trial := 0; trial < 60; trial++ {
 		nTxn := 1 + r.Intn(150)
 		universe := 2 + r.Intn(12)
@@ -94,14 +109,32 @@ func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 		}
 		ix := itemset.NewIndex(itemset.NewDataset(txns))
 		sup := []float64{0.1, 0.2, 0.35, 0.5, 0.8}[r.Intn(5)]
-		ref := all[0].Mine(ix, sup)
-		refBytes := encodePatterns(t, ref)
-		for _, m := range all[1:] {
-			if got := encodePatterns(t, m.Mine(ix, sup)); !bytes.Equal(refBytes, got) {
-				t.Fatalf("trial %d (txns=%d universe=%d sup=%g): %s disagrees with %s\n%s: %v\n%s: %v",
-					trial, nTxn, universe, sup, m.Name(), all[0].Name(),
-					all[0].Name(), ref, m.Name(), m.Mine(ix, sup))
+		agree(fmt.Sprintf("trial %d (txns=%d universe=%d)", trial, nTxn, universe), ix, sup)
+	}
+
+	// Density regimes: near-universal, mid-frequency and rare items, so
+	// intersections run from full words down to nearly empty ones.
+	regimes := []struct {
+		nTxn  int
+		probs []float64 // per-item transaction membership probability
+		sup   float64
+	}{
+		{40, []float64{0.9, 0.7, 0.5, 0.3, 0.3, 0.1}, 0.05},
+		{800, []float64{0.95, 0.6, 0.4, 0.2, 0.1, 0.05, 0.05, 0.01}, 0.15},
+		{5000, []float64{0.9, 0.5, 0.3, 0.08, 0.03, 0.01, 0.005}, 0.3},
+		{70_000, []float64{0.7, 0.4, 0.35, 0.1, 0.02}, 0.05},
+	}
+	for ri, rg := range regimes {
+		txns := make([]itemset.Transaction, rg.nTxn)
+		for i := range txns {
+			var items []itemset.Item
+			for j, p := range rg.probs {
+				if r.Float64() < p {
+					items = append(items, itemset.NewItem(string(rune('a'+j)), itemset.Kind(j%3)))
+				}
 			}
+			txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
 		}
+		agree(fmt.Sprintf("regime %d (txns=%d)", ri, rg.nTxn), itemset.NewIndex(itemset.NewDataset(txns)), rg.sup)
 	}
 }

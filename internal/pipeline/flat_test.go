@@ -316,3 +316,40 @@ func TestCorpusArtifactGolden(t *testing.T) {
 		t.Errorf("corpus artifact body digest %s, want %s", got, want)
 	}
 }
+
+// TestMineArtifactGolden pins the mine artifact body a cold run writes
+// at the paper's support and at the lowest support a query may ask for
+// (server.MinSupport). The digests hold any change to the bitmap index,
+// the miners or the mine codec to byte-identical output. They were
+// taken from the two-layout index at scale 0.2, where the largest
+// regions pass 1024 transactions and were indexed chunked, so they also
+// pin that dropping that layout left the bytes unchanged.
+func TestMineArtifactGolden(t *testing.T) {
+	const wantVersion = 3
+	want := map[float64]string{
+		0.2: "2f31ec059da52ad0baabd19ce27452e094556ddb1316b4bb64d3f765913118fd",
+		0.1: "66af1962bfc3c7527eccbc55a4d515b12c87b591b42eac28a5c922533b6f804d",
+	}
+	if mineCodec.version != wantVersion {
+		t.Fatalf("mine codec version %d, want %d", mineCodec.version, wantVersion)
+	}
+	db, err := corpus.Generate(corpus.Config{Seed: corpus.DefaultSeed, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := db.Columns()
+	for _, support := range []float64{0.2, 0.1} {
+		mined, err := core.MineColumns(cols, support, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := appendMine(nil, mined)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(body)
+		if got := hex.EncodeToString(sum[:]); got != want[support] {
+			t.Errorf("support %g: mine artifact body digest %s, want %s", support, got, want[support])
+		}
+	}
+}

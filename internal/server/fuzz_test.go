@@ -25,6 +25,8 @@ func FuzzRequestOptions(f *testing.F) {
 		"linkage=WARD&scale=4",
 		"scale=1e-320&support=1",
 		"seed=18446744073709551615&scale=Inf",
+		"scale=0.001&support=0.05",
+		"support=0.1",
 	} {
 		f.Add(q)
 	}
@@ -36,6 +38,12 @@ func FuzzRequestOptions(f *testing.F) {
 		opts, canon, err := s.requestOptions(r)
 		if err != nil {
 			return
+		}
+		if !(canon.MinSupport >= MinSupport && canon.MinSupport <= 1) {
+			t.Fatalf("accepted support %v outside [%g, 1]", canon.MinSupport, MinSupport)
+		}
+		if !(canon.Scale > 0 && canon.Scale <= MaxScale) {
+			t.Fatalf("accepted scale %v outside (0, %d]", canon.Scale, MaxScale)
 		}
 		again, err := canon.Canonical()
 		if err != nil {

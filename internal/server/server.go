@@ -308,8 +308,8 @@ func (s *Server) requestOptions(r *http.Request) (opts, canon cuisines.Options, 
 	}
 	if v := q.Get("support"); v != "" {
 		sup, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(sup > 0 && sup <= 1) {
-			return opts, canon, fmt.Errorf("bad support %q", v)
+		if err != nil || !(sup >= MinSupport && sup <= 1) {
+			return opts, canon, fmt.Errorf("support must be in [%g, 1]", MinSupport)
 		}
 		opts.MinSupport = sup
 	}
@@ -326,6 +326,13 @@ func (s *Server) requestOptions(r *http.Request) (opts, canon cuisines.Options, 
 // MaxScale bounds the per-request scale override: an unauthenticated
 // query must not be able to demand an arbitrarily large corpus.
 const MaxScale = 4
+
+// MinSupport is the lowest per-request support override. The number of
+// frequent itemsets grows combinatorially as support falls: at 0.05 a
+// scale-0.001 corpus mines until the process runs out of memory, while
+// 0.1 finishes within seconds at every scale up to MaxScale. The
+// operator's own -support flag is not bounded by it.
+const MinSupport = 0.1
 
 // analysisHandler is an endpoint handler that already has its analysis
 // resolved (carried in the resource, alongside the render-cache owner

@@ -209,6 +209,7 @@ func TestEndpoints(t *testing.T) {
 		{"negative scale", "/v1/table?scale=-1", 400, checkError},
 		{"NaN scale", "/v1/stats?scale=NaN", 400, checkError},
 		{"NaN support", "/v1/stats?support=NaN", 400, checkError},
+		{"support below floor", "/v1/table?scale=0.001&support=0.05", 400, checkError},
 		{"bad seed", "/v1/table?seed=-3", 400, checkError},
 		{"bad support", "/v1/table?support=1.5", 400, checkError},
 		{"unknown linkage", "/v1/table?linkage=centroid", 400, checkError},
