@@ -136,11 +136,8 @@ func TestIndexEmptyTransactionsCountTowardSupport(t *testing.T) {
 	}
 }
 
-// TestAndInto checks the intersection kernel on a hand-made pair, then
-// against a brute-force tid-list intersection over universes from a few
-// dozen tids to 200 000 and operand densities from 0.1% to 90%, with one
-// destination buffer recycled across every trial the way the eclat DFS
-// recycles its per-depth buffers.
+// TestAndInto checks the intersection kernel on a hand-made pair,
+// including a destination aliased with an operand.
 func TestAndInto(t *testing.T) {
 	a := []uint64{0b1010, 1 << 63}
 	b := []uint64{0b0110, 1 << 63}
@@ -155,7 +152,13 @@ func TestAndInto(t *testing.T) {
 	if got := AndInto(a, a, b); got != 2 || a[0] != 0b0010 {
 		t.Fatalf("aliased AndInto = %d, a0=%b", got, a[0])
 	}
+}
 
+// TestAndBitmapsMatchesBruteForce checks AndInto against a merge of the
+// two tid lists: universes from under one word to 200 000 tids, operand
+// densities from 0.1% to 90%, and one scratch target recycled across
+// every trial the way the eclat DFS recycles its per-depth buffers.
+func TestAndBitmapsMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(20200620))
 	var buf []uint64
 	for _, n := range []int{50, 1000, 1 << 16, 1<<16 + 1, 200_000} {
@@ -177,9 +180,13 @@ func TestAndInto(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// Chained, as the eclat DFS folds a prefix: each level's result is
-	// an operand of the next AND.
+// TestAndBitmapsChainedIntersections mirrors the miner access pattern:
+// fold five bitmaps through AndInto, the result of each level being an
+// operand of the next, as the eclat DFS folds a prefix.
+func TestAndBitmapsChainedIntersections(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
 	const n = 150_000
 	want := randomTids(r, n, 0.5)
 	cur := bitmapOf(want, n)

@@ -3,7 +3,6 @@ package miner_test
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,25 +73,11 @@ func TestBackendsByteIdenticalOnCorpus(t *testing.T) {
 // TestBackendsAgreeOnRandomDatasets is the cross-miner agreement
 // property test on randomized synthetic datasets: random transaction
 // counts, item universes and support thresholds, not just
-// corpus-derived shapes, plus fixed density regimes up to 70 000
-// transactions (1094 bitmap words, wider than any corpus region at
-// scale 1). Every backend pair must agree exactly (byte-identically,
-// via the same gob framing as the corpus test).
+// corpus-derived shapes. Every backend pair must agree exactly
+// (byte-identically, via the same gob framing as the corpus test).
 func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 	r := rand.New(rand.NewSource(20200426))
 	all := miner.All()
-	agree := func(label string, ix *itemset.Index, sup float64) {
-		t.Helper()
-		ref := all[0].Mine(ix, sup)
-		refBytes := encodePatterns(t, ref)
-		for _, m := range all[1:] {
-			if got := encodePatterns(t, m.Mine(ix, sup)); !bytes.Equal(refBytes, got) {
-				t.Fatalf("%s sup %g: %s disagrees with %s\n%s: %v\n%s: %v",
-					label, sup, m.Name(), all[0].Name(),
-					all[0].Name(), ref, m.Name(), m.Mine(ix, sup))
-			}
-		}
-	}
 	for trial := 0; trial < 60; trial++ {
 		nTxn := 1 + r.Intn(150)
 		universe := 2 + r.Intn(12)
@@ -109,11 +94,27 @@ func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 		}
 		ix := itemset.NewIndex(itemset.NewDataset(txns))
 		sup := []float64{0.1, 0.2, 0.35, 0.5, 0.8}[r.Intn(5)]
-		agree(fmt.Sprintf("trial %d (txns=%d universe=%d)", trial, nTxn, universe), ix, sup)
+		ref := all[0].Mine(ix, sup)
+		refBytes := encodePatterns(t, ref)
+		for _, m := range all[1:] {
+			if got := encodePatterns(t, m.Mine(ix, sup)); !bytes.Equal(refBytes, got) {
+				t.Fatalf("trial %d (txns=%d universe=%d sup=%g): %s disagrees with %s\n%s: %v\n%s: %v",
+					trial, nTxn, universe, sup, m.Name(), all[0].Name(),
+					all[0].Name(), ref, m.Name(), m.Mine(ix, sup))
+			}
+		}
 	}
+}
 
-	// Density regimes: near-universal, mid-frequency and rare items, so
-	// intersections run from full words down to nearly empty ones.
+// TestIndexModesAgreeOnRandomDensityRegimes mines synthetic datasets
+// spanning the density regimes of the item bitmaps — near-universal
+// items (full words), mid-frequency items and rare items (nearly empty
+// words), up to 70 000 transactions (1094 words) — with every backend.
+// The backends must agree byte-identically, and every pattern's count
+// must equal a plain scan of the transactions, which does not use the
+// bitmap index at all.
+func TestIndexModesAgreeOnRandomDensityRegimes(t *testing.T) {
+	r := rand.New(rand.NewSource(20200808))
 	regimes := []struct {
 		nTxn  int
 		probs []float64 // per-item transaction membership probability
@@ -124,6 +125,7 @@ func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 		{5000, []float64{0.9, 0.5, 0.3, 0.08, 0.03, 0.01, 0.005}, 0.3},
 		{70_000, []float64{0.7, 0.4, 0.35, 0.1, 0.02}, 0.05},
 	}
+	all := miner.All()
 	for ri, rg := range regimes {
 		txns := make([]itemset.Transaction, rg.nTxn)
 		for i := range txns {
@@ -135,6 +137,24 @@ func TestBackendsAgreeOnRandomDatasets(t *testing.T) {
 			}
 			txns[i] = itemset.Transaction{Items: itemset.NewSet(items...)}
 		}
-		agree(fmt.Sprintf("regime %d (txns=%d)", ri, rg.nTxn), itemset.NewIndex(itemset.NewDataset(txns)), rg.sup)
+		d := itemset.NewDataset(txns)
+		ix := itemset.NewIndex(d)
+		ref := all[0].Mine(ix, rg.sup)
+		if len(ref) == 0 {
+			t.Fatalf("regime %d (txns=%d) sup %g: no patterns mined", ri, rg.nTxn, rg.sup)
+		}
+		for _, p := range ref {
+			if want := d.SupportCount(p.Items); p.Count != want {
+				t.Errorf("regime %d (txns=%d): %s counts %v in %d transactions, a scan finds %d",
+					ri, rg.nTxn, all[0].Name(), p.Items, p.Count, want)
+			}
+		}
+		refBytes := encodePatterns(t, ref)
+		for _, m := range all[1:] {
+			if got := encodePatterns(t, m.Mine(ix, rg.sup)); !bytes.Equal(refBytes, got) {
+				t.Errorf("regime %d (txns=%d) sup %g: %s disagrees with %s",
+					ri, rg.nTxn, rg.sup, m.Name(), all[0].Name())
+			}
+		}
 	}
 }
